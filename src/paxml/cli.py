@@ -360,8 +360,6 @@ def _plan_order_lines(system: AXMLSystem) -> List[str]:
     """One compact line per positive service rule: its chosen plan order."""
     from .query.plan import compile_query
 
-    if not perf.flags.query_planner:
-        return []
     lines: List[str] = []
     environment = system.environment()
     for name in sorted(system.services):

@@ -261,14 +261,14 @@ def replay_prefix(seeds: Dict[str, dict],
     The serve layer's historical reads: the state a document had after
     exactly ``len(grafts)`` productive grafts.  The replayed trees are
     throwaway read-only copies living alongside the live run, so the
-    columnar store and child index are bypassed for the duration — their
-    rows are keyed by node uid, and warming the replayed copies (which
-    reuse the live uids) would stale-out the live rows for nothing.
+    columnar store is bypassed for the duration — its rows are keyed by
+    node uid, and warming the replayed copies (which reuse the live uids)
+    would stale-out the live rows for nothing.  The child index needs no
+    bypass: its entries record the node they were built from, so a copy
+    never reads or patches a live entry.
     """
     saved_store = perf.flags.columnar_store
-    saved_index = perf.flags.child_index
     perf.flags.columnar_store = False
-    perf.flags.child_index = False
     try:
         documents = {name: Document(name, from_wire(wire))
                      for name, wire in seeds.items()}
@@ -280,7 +280,6 @@ def replay_prefix(seeds: Dict[str, dict],
         return documents
     finally:
         perf.flags.columnar_store = saved_store
-        perf.flags.child_index = saved_index
 
 
 def _restore_site_states(bundle: CheckpointBundle, system: AXMLSystem,

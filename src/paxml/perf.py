@@ -5,9 +5,15 @@ subsumption cache, cached canonical keys, delta-driven snapshot evaluation)
 is soundness-preserving but makes benchmarking against the from-scratch
 baseline awkward without a switchboard.  This module is that switchboard:
 
-* :data:`flags` — process-wide enable bits.  Turning a bit off restores the
-  seed behaviour of the corresponding subsystem (full recomputation), which
-  is what ``BENCH_pr1.json`` measures the speedups against.
+* :data:`flags` — seven process-wide enable bits, one per subsystem that
+  keeps a measured alternative path.  Turning a bit off restores the
+  reference behaviour of that subsystem (full recomputation, the object
+  tree instead of the columnar store, an eager run, no graft log, no
+  tracing).  Query evaluation has no bit: it always runs the compiled
+  plan of :mod:`paxml.query.plan`, and the naive matcher of
+  :mod:`paxml.query.matching` is a test oracle only.  Writing an unknown
+  flag name raises ``AttributeError``, so a stale script cannot silently
+  measure the default path.
 * :data:`stats` — cheap monotone counters (cache hits/misses, delta vs full
   evaluations) surfaced by the benchmark harness as hit rates.
 * :func:`clear_caches` — drops every process-level cache.  Tests call this
@@ -45,17 +51,11 @@ class Flags:
     subsumption_cache: bool = True   # persistent ((uid, ver), (uid, ver)) memo
     canonical_key_cache: bool = True  # per-node (version, key) memo
     incremental_matching: bool = True  # delta-driven snapshot evaluation
-    query_planner: bool = True       # compiled match plans (paxml.query.plan)
-    child_index: bool = True         # per-parent marking buckets (paxml.tree.index)
     # Columnar struct-of-arrays node store (paxml.tree.store): flat arrays
     # keyed by uid for labels/values/parents/children/versions plus packed
     # subtree marking bitsets; subsumption candidate filtering compares
     # int bitsets instead of per-node frozensets when this is on.
     columnar_store: bool = True
-    # Plan-to-closure compilation (paxml.query.plan): compiled plan steps
-    # execute as specialized closures instead of the interpreted
-    # ``_match_node`` dispatch.  Off restores the PR 4 plan interpreter.
-    closure_compile: bool = True
     # Graft-log retention (paxml.kernel): with the flag off the kernel
     # appends no GraftRecords (PR 4 behaviour, for memory-constrained
     # runs); checkpoints then carry only the fresh document snapshot and
@@ -76,6 +76,13 @@ class Flags:
     # configuration.  The bit only matters for callers that opt in; it
     # changes nothing for plain eager runs.
     lazy_scheduling: bool = True
+
+    def __setattr__(self, name: str, value) -> None:
+        # A typo or a deleted flag name must fail loudly: silently adding
+        # an attribute would leave the real path untouched.
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"perf.Flags has no flag {name!r}")
+        object.__setattr__(self, name, value)
 
     def set_all(self, enabled: bool) -> None:
         for f in fields(self):

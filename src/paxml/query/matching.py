@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .. import perf
 from ..obs import bus as obs_bus
 from ..obs.provenance import stage_answer
 from ..tree.document import Forest
@@ -283,11 +282,20 @@ def enumerate_assignments_delta(query: PositiveQuery,
     full.  A pass is skipped when its atom's document is unchanged, so an
     invocation that grew a single document only pays for the atoms reading
     it.  ``seen`` is updated in place with the new assignments' keys.
+    Runs the compiled plan (:meth:`QueryPlan.execute_delta`);
+    :func:`naive_assignments_delta` is the oracle it is tested against.
     """
-    if perf.flags.query_planner:
-        from .plan import compile_query  # lazy: plan imports this module
+    from .plan import compile_query  # lazy: plan imports this module
 
-        return compile_query(query).execute_delta(documents, cutoff, seen)
+    return compile_query(query).execute_delta(documents, cutoff, seen)
+
+
+def naive_assignments_delta(query: PositiveQuery,
+                            documents: Mapping[str, Node],
+                            cutoff: int,
+                            seen: set) -> List[Assignment]:
+    """Test oracle for :func:`enumerate_assignments_delta`: the same
+    semi-naive contract, as a naive backtracking join in author order."""
     body = query.body
     for atom in body:
         if atom.document not in documents:
@@ -376,15 +384,20 @@ def enumerate_assignments(query: PositiveQuery,
                           documents: Mapping[str, Node]) -> List[Assignment]:
     """All distinct satisfying assignments for the rule body.
 
-    With ``perf.flags.query_planner`` set (the default) the enumeration
-    routes through the compiled plan of :mod:`paxml.query.plan`; the
-    naive join below is the oracle the plan executor is tested against,
-    and the runtime fallback when the flag is off.
+    Runs the compiled plan of :mod:`paxml.query.plan`, the only
+    production matcher; :func:`naive_assignments` is the oracle it is
+    tested against.
     """
-    if perf.flags.query_planner:
-        from .plan import compile_query  # lazy: plan imports this module
+    from .plan import compile_query  # lazy: plan imports this module
 
-        return compile_query(query).execute(documents)
+    return compile_query(query).execute(documents)
+
+
+def naive_assignments(query: PositiveQuery,
+                      documents: Mapping[str, Node]) -> List[Assignment]:
+    """Test oracle for :func:`enumerate_assignments`: the naive
+    backtracking join, atoms in author order, inequalities checked on
+    complete assignments only."""
     bindings: List[Assignment] = [{}]
     for atom in query.body:
         if atom.document not in documents:

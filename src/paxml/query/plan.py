@@ -1,6 +1,6 @@
 """Compiled match plans: the query compiler over the marking indexes.
 
-:func:`paxml.query.matching.enumerate_assignments` realizes Proposition
+:func:`paxml.query.matching.naive_assignments` realizes Proposition
 3.1's PTIME bound as naive backtracking — sibling patterns join in author
 order, every candidate set is a linear scan of ``node.children``, each
 binding extension copies the whole assignment dict, and inequalities are
@@ -36,7 +36,7 @@ that removes all four costs:
   small.
 
 Delta evaluation (:func:`QueryPlan.execute_delta`) keeps the semi-naive
-contract of :func:`~paxml.query.matching.enumerate_assignments_delta`:
+contract of :func:`~paxml.query.matching.naive_assignments_delta`:
 one pass per changed atom, that atom restricted to post-cutoff data (and
 forced first in the join order — the delta side of ``Δ⋈full``), the
 ``seen`` set filtering re-derived assignments.  Constant-subpattern
@@ -47,33 +47,30 @@ every previously-delivered assignment — only completeness (never missing
 a genuinely new assignment) is load-bearing, and the liberal report
 preserves it.
 
-The naive matcher stays untouched as the test oracle; the
-``perf.flags.query_planner`` switchboard bit routes evaluation through
-plans and back at runtime.
+The naive matcher of :mod:`paxml.query.matching` stays as the test
+oracle (``naive_assignments`` / ``naive_assignments_delta``); production
+evaluation always runs a plan.
 
-**Closure lowering** (``perf.flags.closure_compile``): on first planned
-execution each plan is additionally lowered to a tree of specialized
-Python closures, one per plan node — the per-call ``isinstance`` ladder
-of ``_match_node``/``_match_node_delta`` is resolved once at lowering
-time, candidate access paths (probe, bucket, child scan) are selected
-statically, and sibling continuations are precomposed.  Lowering also
-enables the *runtime-const* subpattern shortcut: a closed subpattern
-(no regex, no tree variables) whose node variables are all bound by the
-time the join reaches it is instantiated into a plain tree, hash-consed
-per (plan node, bound values), and matched with a single
-:func:`is_subsumed` test against the persistent subsumption cache —
-this is what makes ``const_subpattern_tests`` fire on join shapes like
-``t{c0{$z}, c1{$y}}`` with ``$z`` bound, where the compile-time const
-path never could (no benchmark query contains a variable-free
-subpattern).  With the flag off, ``_run_join`` drives the PR 4
-interpreter unchanged — it stays the oracle the lowered path is tested
-against.
+**Closure lowering**: on first execution each plan is lowered to a tree
+of specialized Python closures, one per plan node, and the closures are
+the plan's only executor.  The spec's kind, the ``admits`` class and the
+candidate access path (probe, bucket, child scan) are resolved once at
+lowering time, and sibling continuations are precomposed, so the search
+loop does no per-call dispatch.  Lowering also enables the
+*runtime-const* subpattern shortcut: a closed subpattern (no regex, no
+tree variables) whose node variables are all bound by the time the join
+reaches it is instantiated into a plain tree, hash-consed per (plan
+node, bound values), and matched with a single :func:`is_subsumed` test
+against the persistent subsumption cache.  This is what makes
+``const_subpattern_tests`` fire on join shapes like ``t{c0{$z}, c1{$y}}``
+with ``$z`` bound, where the compile-time const path never could (no
+benchmark query contains a variable-free subpattern).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .. import perf
 from ..obs import bus as obs_bus
@@ -84,7 +81,7 @@ from ..tree.reduction import canonical_key
 from ..tree.subsumption import is_subsumed
 from .matching import MissingDocumentError, _regex_end_nodes, binding_keyer
 from .pattern import Assignment, PatternNode, RegexSpec, instantiate, pattern_to_text
-from .rule import Inequality, PositiveQuery
+from .rule import PositiveQuery
 from .variables import FunVar, LabelVar, TreeVar, ValueVar, Variable
 
 _CONST_MARKINGS = (Label, FunName, Value)
@@ -342,9 +339,8 @@ class QueryPlan:
     def _closures(self):
         """The lowered (full, delta) matcher closures, one pair per atom.
 
-        Lowered once per plan, on first closure-path execution; the
-        result is cached on the plan (plans are immutable), so toggling
-        ``perf.flags.closure_compile`` back and forth costs nothing.
+        Lowered once per plan, on first execution; the result is cached
+        on the plan (plans are immutable).
         """
         backend = self._closure_backend
         if backend is None:
@@ -372,10 +368,7 @@ class QueryPlan:
             new_vars.append(fresh)
             bound.update(fresh)
         binding, trail = state.binding, state.trail
-        if perf.flags.closure_compile:
-            full_matchers, delta_matchers = self._closures()
-        else:
-            full_matchers = delta_matchers = None
+        full_matchers, delta_matchers = self._closures()
 
         bkey = binding_keyer(self.query) if seen is not None else None
 
@@ -409,16 +402,10 @@ class QueryPlan:
 
             mark = len(trail)
             if delta_atom is not None and order[k] == delta_atom:
-                if delta_matchers is not None:
-                    delta_matchers[order[k]](root, state, True,
-                                             lambda _new: emit())
-                else:
-                    _match_node_delta(atom.root, root, state, True,
-                                      lambda _new: emit())
-            elif full_matchers is not None:
-                full_matchers[order[k]](root, state, emit)
+                delta_matchers[order[k]](root, state, True,
+                                         lambda _new: emit())
             else:
-                _match_node(atom.root, root, state, emit)
+                full_matchers[order[k]](root, state, emit)
             state.undo_to(mark)
             for ext in exts:
                 ok = True
@@ -483,173 +470,17 @@ class _ExecState:
 
 
 # ----------------------------------------------------------------------
-# Plan executors: callback-style analogues of the naive matchers, with
-# indexed candidates, constant-subpattern subsumption shortcuts, and the
-# shared undo-log binding.
-# ----------------------------------------------------------------------
-
-
-def _candidates(plan_node: PlanNode, node: Node,
-                state: _ExecState) -> Sequence[Node]:
-    spec = plan_node.spec
-    if isinstance(spec, _CONST_MARKINGS):
-        if plan_node.probe is not None:
-            q_marking, operand = plan_node.probe
-            value = (operand if isinstance(operand, Value)
-                     else state.binding.get(operand))
-            if value is not None:
-                return tree_index.probe_bucket(node, spec, q_marking, value)
-        return tree_index.child_bucket(node, spec)
-    return node.children
-
-
-def _match_node(plan_node: PlanNode, node: Node, state: _ExecState,
-                cont: Callable[[], None]) -> None:
-    """Invoke ``cont`` once per distinct binding extension embedding
-    ``plan_node`` at ``node`` (extensions live in ``state.binding``)."""
-    spec = plan_node.spec
-    if plan_node.const_tree is not None:
-        perf.stats.const_subpattern_tests += 1
-        if is_subsumed(plan_node.const_tree, node):
-            cont()
-        return
-    if isinstance(spec, RegexSpec):
-        for end in _regex_end_nodes(spec, node):
-            _match_children(plan_node.children, 0, end, state, cont)
-        return
-    if isinstance(spec, TreeVar):
-        if state.bind(spec, node):
-            cont()
-            state.undo_to(len(state.trail) - 1)
-        return
-    if isinstance(spec, _NODE_VARS):
-        if not spec.admits(node.marking):
-            return
-        bound = state.binding.get(spec)
-        if bound is not None:
-            if bound == node.marking:
-                _match_children(plan_node.children, 0, node, state, cont)
-        elif state.bind(spec, node.marking):
-            _match_children(plan_node.children, 0, node, state, cont)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if spec == node.marking:
-        _match_children(plan_node.children, 0, node, state, cont)
-
-
-def _match_children(children: List[PlanNode], i: int, node: Node,
-                    state: _ExecState, cont: Callable[[], None]) -> None:
-    if i == len(children):
-        cont()
-        return
-    first = children[i]
-
-    def rest() -> None:
-        _match_children(children, i + 1, node, state, cont)
-
-    for child in _candidates(first, node, state):
-        _match_node(first, child, state, rest)
-
-
-def _delta_candidates(plan_node: PlanNode, node: Node, state: _ExecState,
-                      need_new: bool) -> Sequence[Node]:
-    spec = plan_node.spec
-    if isinstance(spec, _CONST_MARKINGS):
-        if plan_node.probe is not None:
-            q_marking, operand = plan_node.probe
-            value = (operand if isinstance(operand, Value)
-                     else state.binding.get(operand))
-            if value is not None:
-                probed = tree_index.probe_bucket(node, spec, q_marking, value)
-                if need_new:
-                    return [c for c in probed if c.version > state.cutoff]
-                return probed
-        bucket = tree_index.child_bucket(node, spec)
-        if need_new:
-            return state.new_children(node, bucket, spec)
-        return bucket
-    if need_new:
-        return state.new_children(node, node.children, None)
-    return node.children
-
-
-def _match_node_delta(plan_node: PlanNode, node: Node, state: _ExecState,
-                      need_new: bool,
-                      cont: Callable[[bool], None]) -> None:
-    """Delta analogue; ``cont`` receives whether the subtree's embedding
-    (liberally) touched post-cutoff data.  See the module docstring for
-    why liberal reporting on constant shortcuts is sound."""
-    if need_new and node.version <= state.cutoff:
-        return
-    spec = plan_node.spec
-    if plan_node.const_tree is not None:
-        perf.stats.const_subpattern_tests += 1
-        if is_subsumed(plan_node.const_tree, node):
-            cont(node.version > state.cutoff)
-        return
-    if isinstance(spec, RegexSpec):
-        for end in _regex_end_nodes(spec, node):
-            end_new = end.uid > state.cutoff
-            _match_children_delta(plan_node.children, 0, end, state,
-                                  need_new and not end_new, end_new, cont)
-        return
-    if isinstance(spec, TreeVar):
-        if state.bind(spec, node):
-            cont(node.version > state.cutoff)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if isinstance(spec, _NODE_VARS):
-        if not spec.admits(node.marking):
-            return
-        self_new = node.uid > state.cutoff
-        bound = state.binding.get(spec)
-        if bound is not None:
-            if bound == node.marking:
-                _match_children_delta(plan_node.children, 0, node, state,
-                                      need_new and not self_new, self_new,
-                                      cont)
-        elif state.bind(spec, node.marking):
-            _match_children_delta(plan_node.children, 0, node, state,
-                                  need_new and not self_new, self_new, cont)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if spec == node.marking:
-        self_new = node.uid > state.cutoff
-        _match_children_delta(plan_node.children, 0, node, state,
-                              need_new and not self_new, self_new, cont)
-
-
-def _match_children_delta(children: List[PlanNode], i: int, node: Node,
-                          state: _ExecState, need_new: bool, have_new: bool,
-                          cont: Callable[[bool], None]) -> None:
-    if i == len(children):
-        if not need_new:
-            cont(have_new)
-        return
-    first = children[i]
-    # Only the last remaining sibling inherits a hard newness obligation —
-    # the in-pattern ``Δ⋈full + full⋈Δ`` split of the naive delta matcher,
-    # preserved under the planned sibling order.
-    first_need = need_new and i == len(children) - 1
-
-    def rest(sub_new: bool) -> None:
-        new_now = have_new or sub_new
-        _match_children_delta(children, i + 1, node, state,
-                              need_new and not new_now, new_now, cont)
-
-    for child in _delta_candidates(first, node, state, first_need):
-        _match_node_delta(first, child, state, first_need, rest)
-
-
-# ----------------------------------------------------------------------
-# Closure lowering (perf.flags.closure_compile).
+# Closure lowering: the plan executor.
 #
-# Each plan node becomes one specialized closure with the same contract
-# as _match_node / _match_node_delta, but with every per-call decision
-# the interpreter re-derives — the spec's kind, the candidate access
-# path, the admits() class, the sibling continuation — resolved once at
-# lowering time.  The interpreter above stays byte-for-byte untouched as
-# the oracle.
+# Each plan node becomes one specialized closure.  A full-mode closure
+# ``(node, state, cont)`` invokes ``cont`` once per binding extension
+# embedding the plan node at ``node`` (extensions live in
+# ``state.binding``); a delta-mode closure ``(node, state, need_new,
+# cont)`` passes ``cont`` whether the embedding (liberally) touched
+# post-cutoff data — see the module docstring for why liberal reporting
+# is sound.  Every per-call decision — the spec's kind, the candidate
+# access path, the admits() class, the sibling continuation — is
+# resolved once at lowering time.
 # ----------------------------------------------------------------------
 
 _ADMITS = {LabelVar: Label, FunVar: FunName, ValueVar: Value}
@@ -909,8 +740,7 @@ def _compile_candidates_delta(plan_node: PlanNode):
 
 def _compile_delta(plan_node: PlanNode, ineq_vars: frozenset):
     """Lower one plan node to a ``(node, state, need_new, cont)`` closure;
-    ``cont`` receives the (liberal) subtree-newness flag, exactly as
-    ``_match_node_delta``."""
+    ``cont`` receives the (liberal) subtree-newness flag."""
     spec = plan_node.spec
     const_tree = plan_node.const_tree
     if const_tree is not None:
@@ -1060,7 +890,8 @@ def _compile_children_delta(children: List[PlanNode], ineq_vars: frozenset):
 
     def step(node, state, need_new, have_new, cont):
         # Only the last remaining sibling inherits a hard newness
-        # obligation — the Δ⋈full split, exactly as the interpreter.
+        # obligation — the in-pattern ``Δ⋈full + full⋈Δ`` split of the
+        # naive delta matcher, preserved under the planned sibling order.
         first_need = need_new and is_last
 
         def rest(sub_new):
@@ -1080,8 +911,7 @@ def compile_query(query: PositiveQuery) -> QueryPlan:
     """The (cached) compiled plan of ``query``.
 
     Plans are immutable and depend only on the rule text, so one plan per
-    query object lives for the process; the switchboard flag is consulted
-    at dispatch time, not here.
+    query object lives for the process.
     """
     plan = getattr(query, "_compiled_plan", None)
     if plan is None:
@@ -1104,8 +934,6 @@ def warm_system(system) -> None:
     run pays no compile latency and ``plan_compiled`` events land before
     the run's first attempt.
     """
-    if not perf.flags.query_planner:
-        return
     for service in system.services.values():
         for query in getattr(service, "queries", []):
             compile_query(query)

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from .. import perf
 from ..kernel import EXTERNAL_SERVICE, EvaluationKernel
-from ..kernel.checkpoint import ReplayDivergence, apply_graft_record
+from ..kernel.checkpoint import ReplayDivergence, replay_prefix
 from ..kernel.graft import GraftRecord
 from ..obs import bus as obs_bus
 from ..obs import events as obs_events
@@ -62,7 +62,7 @@ from ..runtime.transport import (
 from ..system.invocation import _validate_answers, find_path, graft_trees, graft_under
 from ..system.rewriting import RewritingEngine
 from ..system.system import AXMLSystem
-from ..tree.document import CONTEXT, INPUT, Document
+from ..tree.document import CONTEXT, INPUT
 from ..tree.node import Node, advance_stamp_clock, next_stamp
 from ..tree.serializer import from_wire, to_wire, wire_max_stamp
 from .bootstrap import bootstrap_worker
@@ -386,21 +386,7 @@ class ShardWorker:
         seeds = self.kernel._seed_wire
         if seeds is None:
             return
-        saved_store = perf.flags.columnar_store
-        saved_index = perf.flags.child_index
-        perf.flags.columnar_store = False
-        perf.flags.child_index = False
-        try:
-            replayed = {name: Document(name, from_wire(wire))
-                        for name, wire in seeds.items()}
-            by_uid = {name: {node.uid: node
-                             for node in doc.root.iter_nodes()}
-                      for name, doc in replayed.items()}
-            for record in self.kernel.log.records:
-                apply_graft_record(replayed, by_uid, record)
-        finally:
-            perf.flags.columnar_store = saved_store
-            perf.flags.child_index = saved_index
+        replayed = replay_prefix(seeds, self.kernel.log.records)
         for name, document in replayed.items():
             if (document.canonical_key()
                     != self.system.documents[name].canonical_key()):

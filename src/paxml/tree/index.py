@@ -26,8 +26,15 @@ Consistency contract (see the version-stamp comment in
   eagerly — see :func:`note_graft` — so in the engines' flows entries
   are exact, not merely equivalent.)
 
-Entries are keyed by node uid and bounded crudely, like the persistent
-subsumption cache: cleared wholesale on overflow, correct at any size.
+Entries are keyed by node uid and record the node they were built from;
+a lookup accepts an entry only for that very node object (``is``), as
+the columnar store's rows do.  Uids are not unique across trees:
+point-in-time replay (:func:`paxml.kernel.checkpoint.replay_prefix`)
+and checkpoint resume rebuild copies that reuse live uids, and the
+identity check keeps such a copy from reading — or, through
+:func:`note_graft`, patching — a live entry.  Entries are bounded
+crudely, like the persistent subsumption cache: cleared wholesale on
+overflow, correct at any size.
 """
 
 from __future__ import annotations
@@ -37,14 +44,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import perf
 from .node import Marking, Node, Value
 
-# uid → (version at build, child count at build, marking → children)
+# uid → (node, version at build, child count at build, marking → children)
 _Buckets = Dict[Marking, List[Node]]
-_CHILD_INDEX: Dict[int, Tuple[int, int, _Buckets]] = {}
+_CHILD_INDEX: Dict[int, Tuple[Node, int, int, _Buckets]] = {}
 _CHILD_INDEX_MAX = 500_000
 
-# uid → (version at build, (p_marking, q_marking) → value marking → children)
+# uid → (node, version at build,
+#        (p_marking, q_marking) → value marking → children)
 _ProbeMap = Dict[Tuple[Marking, Marking], Dict[Marking, List[Node]]]
-_PROBE_INDEX: Dict[int, Tuple[int, _ProbeMap]] = {}
+_PROBE_INDEX: Dict[int, Tuple[Node, int, _ProbeMap]] = {}
 _PROBE_INDEX_MAX = 100_000
 
 _EMPTY: Tuple[Node, ...] = ()
@@ -58,13 +66,6 @@ def clear_index() -> None:
 perf.register_cache(clear_index)
 
 
-def _build_buckets(node: Node) -> _Buckets:
-    buckets: _Buckets = {}
-    for child in node.children:
-        buckets.setdefault(child.marking, []).append(child)
-    return buckets
-
-
 def child_buckets(node: Node) -> _Buckets:
     """The children of ``node`` grouped by marking, from the live index.
 
@@ -72,17 +73,17 @@ def child_buckets(node: Node) -> _Buckets:
     built bumped the version, so a returned entry covers every current
     child (see the module docstring for why pruned leftovers are sound).
     """
-    if not perf.flags.child_index:
-        return _build_buckets(node)
     entry = _CHILD_INDEX.get(node.uid)
-    if entry is not None and entry[0] == node.version:
+    if entry is not None and entry[0] is node and entry[1] == node.version:
         perf.stats.index_hits += 1
-        return entry[2]
+        return entry[3]
     perf.stats.index_misses += 1
-    buckets = _build_buckets(node)
+    buckets: _Buckets = {}
+    for child in node.children:
+        buckets.setdefault(child.marking, []).append(child)
     if len(_CHILD_INDEX) >= _CHILD_INDEX_MAX:
         _CHILD_INDEX.clear()
-    _CHILD_INDEX[node.uid] = (node.version, len(node.children), buckets)
+    _CHILD_INDEX[node.uid] = (node, node.version, len(node.children), buckets)
     return buckets
 
 
@@ -100,21 +101,23 @@ def note_graft(parent: Node, inserted: Sequence[Node]) -> None:
     and the entry is dropped instead (the next lookup rebuilds it), which
     keeps entries exact — not merely equivalent — along the graft path.
     Ancestor entries need no treatment: the same ``touch`` bumped their
-    versions, so their stale entries can never be read again.
+    versions, so their stale entries can never be read again.  An entry
+    built from another node with the same uid (a replayed copy, or the
+    live tree while a copy grafts) is left alone: patching it would mix
+    the two trees' children.
     """
-    if not perf.flags.child_index:
-        return
     _PROBE_INDEX.pop(parent.uid, None)
     entry = _CHILD_INDEX.get(parent.uid)
-    if entry is None:
+    if entry is None or entry[0] is not parent:
         return
-    version, count, buckets = entry
+    _node, _version, count, buckets = entry
     if len(parent.children) != count + len(inserted):
         del _CHILD_INDEX[parent.uid]
         return
     for child in inserted:
         buckets.setdefault(child.marking, []).append(child)
-    _CHILD_INDEX[parent.uid] = (parent.version, len(parent.children), buckets)
+    _CHILD_INDEX[parent.uid] = (parent, parent.version, len(parent.children),
+                                buckets)
     perf.stats.index_graft_patches += 1
 
 
@@ -135,15 +138,13 @@ def probe_bucket(node: Node, p_marking: Marking, q_marking: Marking,
                  value: Marking) -> Sequence[Node]:
     """Children of ``node`` with ``p_marking`` owning a ``q_marking`` child
     that has a value leaf marked ``value``."""
-    if not perf.flags.child_index:
-        return _probe_scan(node, p_marking, q_marking, value)
     entry = _PROBE_INDEX.get(node.uid)
-    if entry is None or entry[0] != node.version:
+    if entry is None or entry[0] is not node or entry[1] != node.version:
         if len(_PROBE_INDEX) >= _PROBE_INDEX_MAX:
             _PROBE_INDEX.clear()
-        entry = (node.version, {})
+        entry = (node, node.version, {})
         _PROBE_INDEX[node.uid] = entry
-    probes = entry[1]
+    probes = entry[2]
     key = (p_marking, q_marking)
     by_value = probes.get(key)
     if by_value is None:
@@ -168,18 +169,6 @@ def _build_probe(node: Node, p_marking: Marking,
                     seen.add(marking)
                     by_value.setdefault(marking, []).append(child)
     return by_value
-
-
-def _probe_scan(node: Node, p_marking: Marking, q_marking: Marking,
-                value: Marking) -> List[Node]:
-    """Index-off fallback: the same candidate set by linear scan."""
-    return [
-        child for child in node.children
-        if child.marking == p_marking and any(
-            grand.marking == q_marking and any(
-                leaf.marking == value for leaf in grand.children)
-            for grand in child.children)
-    ]
 
 
 # ----------------------------------------------------------------------

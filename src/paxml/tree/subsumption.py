@@ -109,8 +109,7 @@ def is_subsumed(t1: Node, t2: Node) -> bool:
     must be contained in that of ``t2``.  With the columnar store on the
     containment test is one int expression over packed bitsets
     (``b1 & ~b2`` is nonzero iff some marking of ``t1`` is missing from
-    ``t2``); otherwise (gated with the index flag) it is the PR 4 cached
-    frozenset subset test.  Either form rejects most all-pairs
+    ``t2``); otherwise it is the PR 4 cached frozenset subset test.  Either form rejects most all-pairs
     comparisons between value-distinct answer trees before any recursion.
     """
     if t1.marking != t2.marking:
@@ -122,7 +121,7 @@ def is_subsumed(t1: Node, t2: Node) -> bool:
         if subtree_bits(t1) & ~subtree_bits(t2):
             perf.stats.bitset_rejects += 1
             return False
-    elif perf.flags.child_index and not marking_set(t1) <= marking_set(t2):
+    elif not marking_set(t1) <= marking_set(t2):
         perf.stats.subsumption_early_rejects += 1
         return False
     return _simulates(t1, t2, {})

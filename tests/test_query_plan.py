@@ -1,12 +1,15 @@
 """The compiled query planner against the naive matcher as oracle.
 
-The naive backtracking join of :mod:`paxml.query.matching` is retained
+The naive backtracking join of :mod:`paxml.query.matching`
+(``naive_assignments`` / ``naive_assignments_delta``) is retained
 precisely to serve as the oracle here: on randomized systems and
 documents the planned evaluation (selectivity-ordered siblings, constant
 subpattern hash-consing, indexed candidates, undo-log bindings, pushed
 inequalities) must produce the same *reduced forests* for full and delta
 evaluation — directly, through whole-system materialization, and through
-the concurrent runtime under fault injection.
+the concurrent runtime under fault injection.  Whole-system runs reach
+the oracle through the ``naive_matcher`` fixture, which patches the two
+enumeration entry points; production code has no switch for it.
 
 Reduced forests (not raw assignment lists) are the right equality: the
 planner may enumerate embeddings in a different order and through index
@@ -16,19 +19,28 @@ under forest reduction — the paper's notion of "same answer".
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from paxml import perf
 from paxml.cli import main as cli_main
 from paxml.query import compile_query, describe_plan, parse_query
+from paxml.query import incremental, matching
 from paxml.query.incremental import IncrementalQueryEvaluator
-from paxml.query.matching import enumerate_assignments, evaluate_snapshot
-from paxml.query.pattern import RegexSpec, pattern_to_text
+from paxml.query.matching import (
+    enumerate_assignments,
+    enumerate_assignments_delta,
+    evaluate_snapshot,
+    naive_assignments,
+    naive_assignments_delta,
+)
+from paxml.query.pattern import RegexSpec, instantiate, pattern_to_text
 from paxml.query.plan import _selectivity_rank
 from paxml.query.variables import TreeVar, ValueVar
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
 from paxml.system import materialize
-from paxml.system.invocation import graft_answers, find_path
+from paxml.system.invocation import find_path, graft_answers, graft_under
 from paxml.tree import (
     Forest,
     child_bucket,
@@ -40,9 +52,9 @@ from paxml.tree import (
     probe_bucket,
     val,
 )
-from paxml.tree.index import _probe_scan
-from paxml.tree.node import Label, Value
+from paxml.tree.node import Label, Value, current_stamp
 from paxml.tree.reduction import reduce_forest
+from paxml.tree.serializer import from_wire, to_wire
 from paxml.workloads import (
     chain_edges,
     portal_system,
@@ -65,16 +77,42 @@ def _restore_perf_flags():
     perf.stats.reset()
 
 
-def _planner_mode(on: bool) -> None:
+@pytest.fixture
+def naive_matcher(monkeypatch):
+    """A context manager routing every evaluation through the naive oracle.
+
+    Patches the full and delta enumeration entry points where the
+    snapshot evaluator and the incremental evaluator look them up.
+    """
+    @contextlib.contextmanager
+    def active():
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "enumerate_assignments",
+                          naive_assignments)
+            patch.setattr(incremental, "enumerate_assignments",
+                          naive_assignments)
+            patch.setattr(incremental, "enumerate_assignments_delta",
+                          naive_assignments_delta)
+            yield
+    return active
+
+
+def _fresh() -> None:
     perf.flags.set_all(True)
-    perf.flags.query_planner = on
-    perf.flags.child_index = on
     perf.clear_caches()
     perf.stats.reset()
 
 
 def _reduced(query, documents) -> Forest:
+    _fresh()
     return evaluate_snapshot(query, documents)
+
+
+def _naive_reduced(query, documents) -> Forest:
+    _fresh()
+    answers = [instantiate(query.head, binding)
+               for binding in naive_assignments(query, documents)]
+    return Forest(reduce_forest(answers))
 
 
 # ----------------------------------------------------------------------
@@ -99,9 +137,7 @@ def test_planned_equals_naive_on_random_relations(rule, seed):
         document.add_child(random_tree(5 + extra, seed=seed * 7 + extra))
     documents = {"d": document}
 
-    _planner_mode(False)
-    naive = _reduced(query, documents)
-    _planner_mode(True)
+    naive = _naive_reduced(query, documents)
     planned = _reduced(query, documents)
     assert planned.equivalent_to(naive)
 
@@ -110,9 +146,7 @@ def test_planned_equals_naive_on_random_relations(rule, seed):
 def test_planned_equals_naive_on_random_trees(seed):
     query = parse_query("out{@l{$v}} :- d/@r{@l{$v}}")
     documents = {"d": random_tree(30 + seed * 5, seed=seed, label_pool=3)}
-    _planner_mode(False)
-    naive = _reduced(query, documents)
-    _planner_mode(True)
+    naive = _naive_reduced(query, documents)
     planned = _reduced(query, documents)
     assert planned.equivalent_to(naive)
 
@@ -127,21 +161,33 @@ def test_planned_delta_equals_naive_delta(seed):
     edges = random_edges(6, 24 + seed, seed=seed)
     query = parse_query(JOIN2)
 
-    def run(planner: bool):
-        _planner_mode(planner)
+    def run(delta):
+        """Grow the relation in batches, enumerating only new assignments
+        after each (cutoff -1 makes the first pass a full one)."""
+        _fresh()
         document = relation_tree(edges[:12])
         evaluator = IncrementalQueryEvaluator(query)
-        accumulated = []
+        seen: set = set()
+        cutoff = -1
+        accumulated, through_evaluator = [], []
         for batch in range(4):
             for a, b in edges[12 + batch * 3:12 + (batch + 1) * 3]:
                 document.add_child(
                     label("t", label("c0", val(a)), label("c1", val(b))))
+            stamp = current_stamp()
             accumulated.extend(
+                instantiate(query.head, binding)
+                for binding in delta(query, {"d": document}, cutoff, seen))
+            cutoff = stamp
+            through_evaluator.extend(
                 evaluator.evaluate_delta({"d": document}, site="site"))
-        return reduce_forest(accumulated)
+        return (Forest(reduce_forest(accumulated)),
+                Forest(reduce_forest(through_evaluator)))
 
-    naive, planned = run(False), run(True)
-    assert Forest(planned).equivalent_to(Forest(naive))
+    naive, _ = run(naive_assignments_delta)
+    planned, evaluated = run(enumerate_assignments_delta)
+    assert planned.equivalent_to(naive)
+    assert evaluated.equivalent_to(naive)
 
 
 # ----------------------------------------------------------------------
@@ -164,14 +210,23 @@ def _build_system(family: str, seed: int):
                          n_irrelevant=2, seed=seed)
 
 
-@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
-def test_materialized_limits_agree(case):
-    family, seed = case
-    _planner_mode(False)
-    naive_system = _build_system(family, seed)
-    assert materialize(naive_system).terminated
+def _naive_limit(naive_matcher, family: str, seed: int):
+    """The system's limit under the naive matcher (no plan ever runs)."""
+    _fresh()
+    with naive_matcher():
+        naive_system = _build_system(family, seed)
+        assert materialize(naive_system).terminated
+    assert perf.stats.planned_evaluations == 0
+    assert perf.stats.planned_delta_evaluations == 0
+    _fresh()
+    return naive_system
 
-    _planner_mode(True)
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_materialized_limits_agree(case, naive_matcher):
+    family, seed = case
+    naive_system = _naive_limit(naive_matcher, family, seed)
+
     planned_system = _build_system(family, seed)
     assert materialize(planned_system).terminated
     assert planned_system.equivalent_to(naive_system)
@@ -181,14 +236,11 @@ FAULT_CASES = [("acyclic", 3), ("tc", 2), ("tc", 5), ("portal", 1)]
 
 
 @pytest.mark.parametrize("case", FAULT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
-def test_planned_limit_survives_fault_injection(case):
-    """The runtime oracle: planner on + injected faults ≡ naive sequential."""
+def test_planned_limit_survives_fault_injection(case, naive_matcher):
+    """The runtime oracle: planner + injected faults ≡ naive sequential."""
     family, seed = case
-    _planner_mode(False)
-    naive_system = _build_system(family, seed)
-    assert materialize(naive_system).terminated
+    naive_system = _naive_limit(naive_matcher, family, seed)
 
-    _planner_mode(True)
     planned_system = _build_system(family, seed)
     injector = FaultInjector(seed=seed, drop_rate=0.15, error_rate=0.2,
                              delay_rate=0.15, duplicate_rate=0.15,
@@ -234,10 +286,8 @@ def test_constant_sibling_dedup_keeps_the_antichain():
     assert pattern_to_text(consts[0].to_pattern()) == "a{b{c}}"
     # Dropping dominated conjuncts must not change answers.
     document = parse_tree('r{a{b{c}}, q{"1"}}')
-    _planner_mode(True)
     planned = _reduced(query, {"d": document})
-    _planner_mode(False)
-    naive = _reduced(query, {"d": document})
+    naive = _naive_reduced(query, {"d": document})
     assert planned.equivalent_to(naive)
     assert len(planned) == 1
 
@@ -252,24 +302,20 @@ def test_inequalities_compiled_to_binding_sites():
     assert set(by_var["$y"]) == {"$x", '"3"'}
     assert "$z" not in by_var
     document = parse_tree('r{a{"1"}, a{"2"}, b{"1"}, b{"3"}, c{"9"}}')
-    _planner_mode(True)
     planned = _reduced(query, {"d": document})
-    _planner_mode(False)
-    naive = _reduced(query, {"d": document})
+    naive = _naive_reduced(query, {"d": document})
     assert planned.equivalent_to(naive)
 
 
 def test_always_false_inequality_short_circuits():
     query = parse_query('h{x} :- d/r{a}, "1" != "1"')
     assert compile_query(query).always_false
-    _planner_mode(True)
     assert enumerate_assignments(query, {"d": parse_tree("r{a}")}) == []
 
 
 def test_join2_uses_the_value_probe():
     query = parse_query(JOIN2)
     document = relation_tree(chain_edges(8))
-    _planner_mode(True)
     planned = _reduced(query, {"d": document})
     assert perf.stats.probe_lookups > 0
     assert len(planned) == 7  # chain of 8 edges has 7 length-2 paths
@@ -281,7 +327,6 @@ def test_join2_uses_the_value_probe():
 
 
 def test_child_buckets_follow_appends():
-    _planner_mode(True)
     tree = parse_tree("r{a, a, b}")
     assert len(child_bucket(tree, Label("a"))) == 2
     tree.add_child(label("a"))
@@ -289,11 +334,22 @@ def test_child_buckets_follow_appends():
     assert child_bucket(tree, Label("zzz")) == ()
 
 
+def _probe_scan(node, p_marking, q_marking, value):
+    """The probe's candidate set by linear scan (the index's oracle)."""
+    return [
+        child for child in node.children
+        if child.marking == p_marking and any(
+            grand.marking == q_marking and any(
+                leaf.marking == value for leaf in grand.children)
+            for grand in child.children)
+    ]
+
+
 def test_probe_bucket_matches_linear_scan():
     for seed in range(6):
         tree = relation_tree(random_edges(4, 12, seed=seed))
         tree.add_child(random_tree(8, seed=seed))
-        _planner_mode(True)
+        _fresh()
         for value in {leaf.marking for node in tree.iter_nodes()
                       for leaf in node.children
                       if isinstance(leaf.marking, Value)}:
@@ -303,7 +359,6 @@ def test_probe_bucket_matches_linear_scan():
 
 
 def test_graft_path_patches_the_index_in_place():
-    _planner_mode(True)
     system = tc_system(chain_edges(4))
     document = system.documents["d1"]
     # Warm the parent's bucket entry, then graft through the real path.
@@ -319,8 +374,35 @@ def test_graft_path_patches_the_index_in_place():
     assert inserted[0] in child_bucket(document.root, inserted[0].marking)
 
 
+def test_index_entries_belong_to_the_node_they_were_built_from():
+    """A copy reusing a live node's uid (as checkpoint replay builds) must
+    neither read nor patch the live node's entries, nor the reverse."""
+    live = relation_tree(chain_edges(3))
+    copy = from_wire(to_wire(live))
+    assert (copy.uid, copy.version) == (live.uid, live.version)
+    row = Label("t")
+
+    def ids(nodes):
+        return set(map(id, nodes))
+
+    # Same (uid, version): only identity tells the two entries apart.
+    value = live.children[0].children[0].children[0].marking
+    for root in (live, copy):
+        probed = probe_bucket(root, row, Label("c0"), value)
+        assert probed and ids(probed) <= ids(root.children)
+        assert ids(child_bucket(root, row)) == ids(root.children)
+    # The copy now owns the uid's entry; a live graft whose child count
+    # lines up with it must not patch it (that would mix the trees).
+    edge = label("t", label("c0", val(7)), label("c1", val(8)))
+    assert graft_under([live], [edge])
+    assert ids(child_bucket(live, row)) == ids(live.children)
+    # And back: a graft into the copy leaves the live entry whole.
+    assert graft_under([copy], [label("t", label("c0", val(9)))])
+    assert ids(child_bucket(live, row)) == ids(live.children)
+    assert ids(child_bucket(copy, row)) == ids(copy.children)
+
+
 def test_marking_set_reject_is_sound_for_non_injective_simulations():
-    _planner_mode(True)
     # a{b, b, b} ⊑ a{b}: counts must not matter, only marking presence.
     assert is_subsumed(parse_tree("a{b, b, b}"), parse_tree("a{b}"))
     assert marking_set(parse_tree("a{b{c}}")) == {
@@ -340,19 +422,8 @@ def test_marking_set_reject_is_sound_for_non_injective_simulations():
 
 
 # ----------------------------------------------------------------------
-# switchboard fallback and CLI
+# plan display and CLI
 # ----------------------------------------------------------------------
-
-
-def test_flag_off_routes_through_the_naive_matcher():
-    query = parse_query(JOIN2)
-    documents = {"d": relation_tree(chain_edges(5))}
-    _planner_mode(False)
-    enumerate_assignments(query, documents)
-    assert perf.stats.planned_evaluations == 0
-    _planner_mode(True)
-    enumerate_assignments(query, documents)
-    assert perf.stats.planned_evaluations == 1
 
 
 def test_describe_plan_mentions_order_and_probe():

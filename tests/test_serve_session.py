@@ -13,12 +13,15 @@ import asyncio
 
 import pytest
 
+from paxml import perf
 from paxml.obs.metrics import Registry
 from paxml.runtime import RuntimeConfig
 from paxml.serve import AdmissionController, TenantBudget, TenantSession
 from paxml.serve.session import SessionError
 from paxml.system import materialize
+from paxml.tree import child_buckets
 from paxml.tree.parser import parse_tree
+from paxml.tree.serializer import to_canonical
 from paxml.workloads import random_edges, tc_system
 
 
@@ -157,6 +160,92 @@ class TestSessionOps:
             session.read("d1")["tree"]
         with pytest.raises(SessionError, match="outside the readable"):
             session.read_at("d1", total + 1)
+
+
+# ----------------------------------------------------------------------
+# replay isolation: point-in-time reads between live grafts
+# ----------------------------------------------------------------------
+
+
+class TestReplayIsolation:
+    """``read_at`` replays copies that reuse the live uids.  Interleaved
+    with further live grafts, the copies must never leak into the live
+    tenant: not into its child-index entries, not into later historical
+    reads, and not into its limit."""
+
+    # A cycle closes as the edges arrive, so most closure rows gain a
+    # mirrored row later: replay then compares copies of earlier rows
+    # (building their index entries) while inserting the mirrors.
+    SEED_EDGES = [(0, 1), (1, 2), (2, 3)]
+    INJECTED = [(3, 0), (1, 4), (4, 5), (5, 1), (2, 6)]
+    EDGES = SEED_EDGES + INJECTED
+
+    @staticmethod
+    def _buckets_hold_live_children(nodes):
+        for node in nodes:
+            live = {id(child) for child in node.children}
+            indexed = {id(child) for bucket in child_buckets(node).values()
+                       for child in bucket}
+            assert indexed == live, to_canonical(node)
+
+    async def _script(self, session, check=None):
+        """Inject the edges one by one, each also tagging a d1 row (a
+        graft below the root, where replay builds index entries of its
+        own); ``check`` runs between steps."""
+        for step, (a, b) in enumerate(self.INJECTED):
+            await session.run_slice(2)
+            if check is not None:
+                check()
+            session.inject("d0", [parse_tree(f"t{{c0{{{a}}}, c1{{{b}}}}}")])
+            x, y = self.EDGES[step]
+            row = f"t{{c0{{{x}}}, c1{{{y}}}}}"
+            target = next((node for node in
+                           session.system.documents["d1"].root.children
+                           if to_canonical(node) == row), None)
+            if target is not None:
+                session.inject("d1", [parse_tree(f"tag{{{step}}}")],
+                               parent_uid=target.uid)
+            if check is not None:
+                check()
+        while session.has_work():
+            await session.run_slice(2)
+            if check is not None:
+                check()
+
+    @pytest.mark.parametrize("sim_cache", [True, False],
+                             ids=["sim-cache", "no-sim-cache"])
+    def test_reads_at_interleaved_with_live_grafts(self, sim_cache,
+                                                   monkeypatch):
+        # Without the persistent subsumption cache, replay's antichain
+        # inserts reach the child index for the copies they compare.
+        monkeypatch.setattr(perf.flags, "subsumption_cache", sim_cache)
+        perf.clear_caches()
+        session = TenantSession("t", tc_system(self.SEED_EDGES))
+        documents = session.system.documents
+        history = {}
+
+        def check():
+            # Every live entry first: live grafts since the last replays
+            # must not have patched (or read) an entry a copy built.
+            self._buckets_hold_live_children(
+                node for document in documents.values()
+                for node in document.root.iter_nodes())
+            for name in ("d0", "d1"):
+                snapshot = session.read(name)
+                history[(name, snapshot["grafts"])] = snapshot["tree"]
+            for (name, grafts), tree in sorted(history.items()):
+                assert session.read_at(name, grafts)["tree"] == tree
+                self._buckets_hold_live_children(
+                    document.root for document in documents.values())
+
+        asyncio.run(self._script(session, check))
+        assert len({grafts for _name, grafts in history}) > len(self.INJECTED)
+
+        uninterrupted = TenantSession("u", tc_system(self.SEED_EDGES))
+        asyncio.run(self._script(uninterrupted))
+        for name, document in session.system.documents.items():
+            assert document.canonical_key() == \
+                uninterrupted.system.documents[name].canonical_key()
 
 
 # ----------------------------------------------------------------------

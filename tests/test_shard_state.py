@@ -99,7 +99,7 @@ class TestStampClock:
 class TestFlagsSnapshotApply:
     def test_roundtrip(self):
         snapshot = perf.flags.snapshot()
-        perf.flags.query_planner = not snapshot["query_planner"]
+        perf.flags.subsumption_cache = not snapshot["subsumption_cache"]
         perf.flags.apply(snapshot)
         assert perf.flags.snapshot() == snapshot
 
@@ -107,11 +107,19 @@ class TestFlagsSnapshotApply:
         perf.flags.apply({"not_a_real_flag": True})
         assert not hasattr(perf.flags, "not_a_real_flag")
 
+    def test_unknown_attribute_write_rejected(self):
+        # A misspelt or retired flag must fail loudly instead of leaving
+        # the path it meant to switch untouched.
+        with pytest.raises(AttributeError, match="subsumption_cach"):
+            perf.flags.subsumption_cach = False
+        assert not hasattr(perf.flags, "subsumption_cach")
+        assert len(perf.flags.snapshot()) == 7
+
     def test_env_disabled_flags_stay_off(self, monkeypatch):
         monkeypatch.setattr(perf, "_ENV_DISABLED",
-                            frozenset({"query_planner"}))
-        perf.flags.apply({"query_planner": True})
-        assert perf.flags.query_planner is False
+                            frozenset({"subsumption_cache"}))
+        perf.flags.apply({"subsumption_cache": True})
+        assert perf.flags.subsumption_cache is False
 
 
 class TestBootstrapInProcess:
@@ -119,12 +127,12 @@ class TestBootstrapInProcess:
         perf.stats.subsumption_hits += 41
         obs_bus.enable()
         effective = bootstrap_worker(1, 2,
-                                     {"query_planner": False,
-                                      "closure_compile": False})
+                                     {"subsumption_cache": False,
+                                      "canonical_key_cache": False})
         assert perf.stats.subsumption_hits == 0
         assert not obs_bus.ACTIVE
-        assert effective["query_planner"] is False
-        assert effective["closure_compile"] is False
+        assert effective["subsumption_cache"] is False
+        assert effective["canonical_key_cache"] is False
         assert stamp_clock_config() == (1, 2)
 
     def test_obs_active_reenables_bus(self):
@@ -153,12 +161,12 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
         pytest.skip("no fork on this platform")
     # Pollute the parent: flags flipped, stats nonzero, bus enabled —
     # everything a forked child would wrongly inherit.
-    perf.flags.query_planner = False
+    perf.flags.canonical_key_cache = False
     perf.flags.subsumption_cache = False
     perf.stats.subsumption_hits = 999
     obs_bus.enable()
-    explicit = dict(perf.flags.snapshot(), query_planner=True,
-                    subsumption_cache=True, closure_compile=False)
+    explicit = dict(perf.flags.snapshot(), canonical_key_cache=True,
+                    subsumption_cache=True, incremental_matching=False)
 
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe()
@@ -168,9 +176,9 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
     report = parent_conn.recv()
     process.join(timeout=30)
 
-    assert report["flags"]["query_planner"] is True
+    assert report["flags"]["canonical_key_cache"] is True
     assert report["flags"]["subsumption_cache"] is True
-    assert report["flags"]["closure_compile"] is False
+    assert report["flags"]["incremental_matching"] is False
     assert report["subsumption_hits"] == 0
     assert report["bus_active"] is False
     assert report["stamp"] % 4 == 1
@@ -191,14 +199,14 @@ print(json.dumps({"flags": effective, "stamp": next_stamp()}))
 def test_spawned_worker_applies_explicit_config_over_defaults():
     # A fresh interpreter (what the spawn start method gives a worker)
     # boots with compiled-in defaults; the explicit snapshot must win.
-    explicit = dict(perf.flags.snapshot(), query_planner=False,
-                    child_index=False)
+    explicit = dict(perf.flags.snapshot(), subsumption_cache=False,
+                    incremental_matching=False)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [sys.executable, "-c", _SPAWN_SCRIPT, json.dumps(explicit)],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     report = json.loads(out.stdout)
-    assert report["flags"]["query_planner"] is False
-    assert report["flags"]["child_index"] is False
+    assert report["flags"]["subsumption_cache"] is False
+    assert report["flags"]["incremental_matching"] is False
     assert report["stamp"] % 4 == 3
