@@ -1,14 +1,14 @@
-"""Microbenchmark: object-set vs packed-bitset subsumption filtering.
+"""Microbenchmark: linear vs indexed antichain maintenance.
 
 Isolates the one kernel PR 6 rewrote — maintaining an antichain of
 pairwise-incomparable trees under a stream of candidate inserts — from
-everything else the engines do.  The object path is PR 1's
-``antichain_insert`` (a linear scan calling ``is_subsumed`` per kept
-tree); the bitset path is :class:`paxml.tree.antichain.BitsetAntichain`
-(posting lists over packed subtree marking bitsets; a candidate is only
-compared against kept trees whose bitsets don't already refute the
-comparison).  Both paths insert structurally identical tree streams and
-must keep identical antichains.
+everything else the engines do.  The linear path is
+``antichain_insert`` (one pass over every kept tree, a packed-bitset
+subset test before each ``is_subsumed``); the indexed path is
+:class:`paxml.tree.antichain.BitsetAntichain` (posting lists over packed
+subtree marking bitsets, so a candidate only visits kept trees that
+share its rarest marking).  Both paths insert structurally identical
+tree streams and must keep identical antichains.
 
 Prints one JSON line::
 
@@ -45,7 +45,7 @@ def _stream(n_trees: int):
     return trees
 
 
-def run_object(trees) -> tuple:
+def run_linear(trees) -> tuple:
     kept = []
     start = time.perf_counter()
     for tree in trees:
@@ -66,27 +66,27 @@ def main() -> int:
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 
     perf.flags.set_all(True)
-    best_obj = best_bit = None
-    kept_obj = kept_bit = None
+    best_lin = best_bit = None
+    kept_lin = kept_bit = None
     for _ in range(repeats):
         perf.clear_caches()
         perf.stats.reset()
         # fresh structurally-identical streams per side: inserts mutate
         # nothing, but cached canonical keys must not leak across sides
-        t_obj, kept_obj = run_object(_stream(n_trees))
+        t_lin, kept_lin = run_linear(_stream(n_trees))
         t_bit, kept_bit = run_bitset(_stream(n_trees))
-        best_obj = t_obj if best_obj is None else min(best_obj, t_obj)
+        best_lin = t_lin if best_lin is None else min(best_lin, t_lin)
         best_bit = t_bit if best_bit is None else min(best_bit, t_bit)
 
     keys = lambda ts: sorted(str(canonical_key(t)) for t in ts)
     report = {
         "trees": n_trees,
         "repeats": repeats,
-        "object_seconds": round(best_obj, 4),
+        "linear_seconds": round(best_lin, 4),
         "bitset_seconds": round(best_bit, 4),
-        "speedup": round(best_obj / best_bit, 2),
+        "speedup": round(best_lin / best_bit, 2),
         "kept": len(kept_bit),
-        "antichains_equal": keys(kept_obj) == keys(kept_bit),
+        "antichains_equal": keys(kept_lin) == keys(kept_bit),
         "bitset_rejects": perf.stats.bitset_rejects,
         "store_rows": tree_store.store_sizes()["rows"],
     }

@@ -421,13 +421,11 @@ def _print_plan_stats(system, environment, rules) -> None:
     for counter in ("plan_compilations", "closure_compilations",
                     "const_subpattern_tests", "bitset_rejects",
                     "subsumption_early_rejects", "store_rebuild_patches",
-                    "store_graft_patches", "facade_materializations"):
+                    "store_graft_patches"):
         print(f"  {counter}: {snapshot.get(counter, 0)}")
-    if perf.flags.columnar_store:
-        sizes = tree_store.store_sizes()
-        print(f"  store rows: {sizes['rows']}  "
-              f"interned markings: {sizes['interned_markings']}  "
-              f"child pool: {sizes['child_pool']}")
+    sizes = tree_store.store_sizes()
+    print(f"  store rows: {sizes['rows']}  "
+          f"interned markings: {sizes['interned_markings']}")
 
 
 def cmd_explain(args) -> int:

@@ -260,26 +260,21 @@ def replay_prefix(seeds: Dict[str, dict],
 
     The serve layer's historical reads: the state a document had after
     exactly ``len(grafts)`` productive grafts.  The replayed trees are
-    throwaway read-only copies living alongside the live run, so the
-    columnar store is bypassed for the duration — its rows are keyed by
-    node uid, and warming the replayed copies (which reuse the live uids)
-    would stale-out the live rows for nothing.  The child index needs no
-    bypass: its entries record the node they were built from, so a copy
-    never reads or patches a live entry.
+    throwaway read-only copies living alongside the live run and reuse
+    the live uids.  Neither derived structure needs a bypass: child-index
+    entries record the node they were built from, so a copy never reads
+    or patches a live entry, and subtree-bits entries are checked by
+    version, which fixes a subtree's markings — a copy that overwrites a
+    live entry only makes the live tree re-derive it at the next read.
     """
-    saved_store = perf.flags.columnar_store
-    perf.flags.columnar_store = False
-    try:
-        documents = {name: Document(name, from_wire(wire))
-                     for name, wire in seeds.items()}
-        by_uid: Dict[str, Dict[int, Node]] = {
-            name: {node.uid: node for node in doc.root.iter_nodes()}
-            for name, doc in documents.items()}
-        for record in grafts:
-            apply_graft_record(documents, by_uid, record)
-        return documents
-    finally:
-        perf.flags.columnar_store = saved_store
+    documents = {name: Document(name, from_wire(wire))
+                 for name, wire in seeds.items()}
+    by_uid: Dict[str, Dict[int, Node]] = {
+        name: {node.uid: node for node in doc.root.iter_nodes()}
+        for name, doc in documents.items()}
+    for record in grafts:
+        apply_graft_record(documents, by_uid, record)
+    return documents
 
 
 def _restore_site_states(bundle: CheckpointBundle, system: AXMLSystem,
@@ -414,18 +409,16 @@ def resume(path: str, *, engine: Optional[str] = None,
 
     restored_sites = _restore_site_states(bundle, system, by_uid)
 
-    if perf.flags.columnar_store:
-        # The store is derived state: re-index the restored trees
-        # wholesale rather than persisting rows in the bundle.  Restored
-        # nodes reuse their original (uid, version) stamps, so warming
-        # also retargets any rows left by the checkpointing process onto
-        # the restored copies.
-        for document in system.documents.values():
-            tree_store.warm(document.root)
-        if obs_bus.ACTIVE:
-            sizes = tree_store.store_sizes()
-            obs_bus.emit(obs_events.STORE_WARMED, rows=sizes["rows"],
-                         interned_markings=sizes["interned_markings"])
+    # The bits memo is derived state: re-derive it from the restored
+    # trees wholesale rather than persisting it in the bundle.  Restored
+    # nodes reuse their original (uid, version) stamps, so entries left
+    # by the checkpointing process answer for the restored copies too.
+    for document in system.documents.values():
+        tree_store.warm(document.root)
+    if obs_bus.ACTIVE:
+        sizes = tree_store.store_sizes()
+        obs_bus.emit(obs_events.STORE_WARMED, rows=sizes["rows"],
+                     interned_markings=sizes["interned_markings"])
 
     perf.stats.kernel_resumes += 1
     if obs_bus.ACTIVE:

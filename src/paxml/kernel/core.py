@@ -485,11 +485,10 @@ class EvaluationKernel:
             "lazy_queries": ([str(q) for q in self.lazy_queries]
                              if self.relevance_tracker is not None else None),
             "fire_once": self.fire_once,
-            # Snapshot of the columnar store's shape at checkpoint time.
-            # The store is derived data — resume rebuilds it from the
-            # restored trees — so this is diagnostic, not restored state.
-            "store": (tree_store.store_sizes()
-                      if perf.flags.columnar_store else None),
+            # Snapshot of the bits memo's size at checkpoint time.  The
+            # memo is derived data — resume rebuilds it from the restored
+            # trees — so this is diagnostic, not restored state.
+            "store": tree_store.store_sizes(),
         }]
         if self.system is not None:
             for name, service in sorted(self.system.services.items()):

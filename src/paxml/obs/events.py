@@ -31,8 +31,8 @@ kind                      payload
 ``plan_lowered``          rule, atoms — the plan was lowered to specialized
                           closures (once per plan, on first closure-path
                           execution)
-``store_warmed``          rows, interned_markings — a document tree was
-                          (re)indexed wholesale into the columnar store
+``store_warmed``          rows, interned_markings — resume re-derived the
+                          subtree-bits memo of the restored documents
 ``tenant_created``        tenant, documents, services
 ``tenant_suspended``      tenant, bundle, steps, productive
 ``tenant_resumed``        tenant, bundle, steps, productive

@@ -5,14 +5,15 @@ subsumption cache, cached canonical keys, delta-driven snapshot evaluation)
 is soundness-preserving but makes benchmarking against the from-scratch
 baseline awkward without a switchboard.  This module is that switchboard:
 
-* :data:`flags` — seven process-wide enable bits, one per subsystem that
+* :data:`flags` — six process-wide enable bits, one per subsystem that
   keeps a measured alternative path.  Turning a bit off restores the
-  reference behaviour of that subsystem (full recomputation, the object
-  tree instead of the columnar store, an eager run, no graft log, no
-  tracing).  Query evaluation has no bit: it always runs the compiled
-  plan of :mod:`paxml.query.plan`, and the naive matcher of
-  :mod:`paxml.query.matching` is a test oracle only.  Writing an unknown
-  flag name raises ``AttributeError``, so a stale script cannot silently
+  reference behaviour of that subsystem (full recomputation, an eager
+  run, no graft log, no tracing).  Query evaluation has no bit: it
+  always runs the compiled plan of :mod:`paxml.query.plan`, and the
+  naive matcher of :mod:`paxml.query.matching` is a test oracle only.
+  Subsumption filtering has none either: the packed subtree bitsets of
+  :mod:`paxml.tree.store` are its only path.  Writing an unknown flag
+  name raises ``AttributeError``, so a stale script cannot silently
   measure the default path.
 * :data:`stats` — cheap monotone counters (cache hits/misses, delta vs full
   evaluations) surfaced by the benchmark harness as hit rates.
@@ -51,11 +52,6 @@ class Flags:
     subsumption_cache: bool = True   # persistent ((uid, ver), (uid, ver)) memo
     canonical_key_cache: bool = True  # per-node (version, key) memo
     incremental_matching: bool = True  # delta-driven snapshot evaluation
-    # Columnar struct-of-arrays node store (paxml.tree.store): flat arrays
-    # keyed by uid for labels/values/parents/children/versions plus packed
-    # subtree marking bitsets; subsumption candidate filtering compares
-    # int bitsets instead of per-node frozensets when this is on.
-    columnar_store: bool = True
     # Graft-log retention (paxml.kernel): with the flag off the kernel
     # appends no GraftRecords (PR 4 behaviour, for memory-constrained
     # runs); checkpoints then carry only the fresh document snapshot and
@@ -157,14 +153,13 @@ class Stats:
     # Shared-forest fast path of ``constant_service``: calls answered by
     # returning the frozen reduced forest without copying or re-reducing.
     constant_calls_shared: int = 0
-    # Columnar-store counters (paxml.tree.store): subtree re-indexes forced
-    # by a stale row (untracked mutation healed at read time), in-place
-    # graft-path patches, candidate pairs rejected by a packed-bitset
-    # subset test, and store rows materialized back into Node facades.
+    # Subtree-bits counters (paxml.tree.store): subtree walks forced by a
+    # missing or stale entry (e.g. an untracked mutation healed at read
+    # time), in-place graft-path patches, and candidate pairs rejected by
+    # a packed-bitset subset test.
     store_rebuild_patches: int = 0
     store_graft_patches: int = 0
     bitset_rejects: int = 0
-    facade_materializations: int = 0
     # Closure-compilation counter (paxml.query.plan): plans lowered to
     # specialized closures (once per plan, on first closure execution).
     closure_compilations: int = 0

@@ -29,7 +29,7 @@ from ..tree import store as tree_store
 from ..tree.antichain import BitsetAntichain
 from ..tree.document import Forest
 from ..tree.node import Node, current_stamp
-from ..tree.reduction import antichain_insert, canonical_key
+from ..tree.reduction import canonical_key
 from .matching import (
     binding_keyer,
     enumerate_assignments,
@@ -99,8 +99,8 @@ def _compile_head_bits(pattern: PatternNode):
     lazily — intern ids are bit positions and die with ``clear_store``),
     one interned bit per bound node variable, and the store-cached bits
     of each bound subtree for tree variables.  Computing this from the
-    binding spares the store from allocating rows for fresh answer trees
-    that exist only to sit in a result antichain.
+    binding spares the store from walking fresh answer trees that exist
+    only to sit in a result antichain.
     """
     const_markings = []
     var_specs = []
@@ -131,7 +131,7 @@ def _compile_head_bits(pattern: PatternNode):
         for spec in var_specs:
             bits |= 1 << intern(binding[spec])
         for spec in tree_specs:
-            # Tree-variable images are document subtrees with live rows;
+            # Tree-variable images are document subtrees with memo entries;
             # the instantiated copy shares their marking content exactly.
             bits |= subtree_bits(binding[spec])
         return bits
@@ -147,8 +147,7 @@ class _SiteState:
                  result_keys: set, doc_uids: Dict[str, int]):
         self.cutoff = cutoff          # stamp the cached assignments cover
         self.seen = seen              # binding keys of every assignment found
-        self.results = results        # reduced antichain of all results so far
-        #   (a plain list, or a BitsetAntichain when the store flag is on)
+        self.results = results        # BitsetAntichain of all results so far
         self.result_keys = result_keys  # canonical keys of every answer seen
         self.doc_uids = doc_uids      # environment identity check
 
@@ -170,8 +169,8 @@ class IncrementalQueryEvaluator:
         # canonical key).  Distinct call sites of one service routinely
         # derive the same valuations; returning the *same* answer object
         # keeps its uid/version stable, so the persistent subsumption
-        # cache, the per-node canonical-key slot and the columnar-store
-        # row all stay hot instead of being defeated by fresh uids.
+        # cache, the per-node canonical-key slot and the subtree-bits
+        # entry all stay hot instead of being defeated by fresh uids.
         # Sound because answers are never mutated: grafting copies them
         # (``graft_answers``) and antichain membership is read-only.
         self._answers: Dict[frozenset, tuple] = {}
@@ -244,8 +243,7 @@ class IncrementalQueryEvaluator:
             perf.stats.full_evaluations += 1
             assignments = enumerate_assignments(self.query, environment)
             seen: set = set()
-            use_index = perf.flags.columnar_store
-            results = BitsetAntichain() if use_index else []
+            results = BitsetAntichain()
             result_keys: set = set()
             head_key = self._head_key
             head_bits = self._head_bits
@@ -271,11 +269,8 @@ class IncrementalQueryEvaluator:
                 result_keys.add(key)
                 if obs_bus.ACTIVE:
                     self._stage_provenance(answer, key, environment, binding)
-                if use_index:
-                    results.insert(answer,
-                                   head_bits(binding) if head_bits else None)
-                else:
-                    antichain_insert(results, answer)
+                results.insert(answer,
+                               head_bits(binding) if head_bits else None)
             self._sites[site] = _SiteState(cutoff, seen, results, result_keys,
                                            doc_uids)
             return Forest(list(results))
@@ -284,15 +279,7 @@ class IncrementalQueryEvaluator:
         new_cutoff = current_stamp()
         new_assignments = enumerate_assignments_delta(
             self.query, environment, state.cutoff, state.seen)
-        # The site's antichain follows the store flag; converting (rare —
-        # only when the flag is toggled between invocations) preserves the
-        # kept set exactly.
         results = state.results
-        use_index = perf.flags.columnar_store
-        if use_index and isinstance(results, list):
-            results = state.results = BitsetAntichain(results)
-        elif not use_index and not isinstance(results, list):
-            results = state.results = results.items()
         delta: List[Node] = []
         head_key = self._head_key
         head_bits = self._head_bits
@@ -309,9 +296,8 @@ class IncrementalQueryEvaluator:
             state.result_keys.add(key)
             if obs_bus.ACTIVE:
                 self._stage_provenance(answer, key, environment, binding)
-            if (results.insert(answer,
-                               head_bits(binding) if head_bits else None)
-                    if use_index else antichain_insert(results, answer)):
+            if results.insert(answer,
+                              head_bits(binding) if head_bits else None):
                 delta.append(answer)
         state.cutoff = new_cutoff
         return Forest(delta)
@@ -339,8 +325,8 @@ class IncrementalQueryEvaluator:
         restored node has ``version <= cutoff`` — the next invocation
         joins only against data grafted *after* the resume.
         """
-        self._sites[site] = _SiteState(cutoff, set(), [], set(),
-                                       dict(doc_uids))
+        self._sites[site] = _SiteState(cutoff, set(), BitsetAntichain(),
+                                       set(), dict(doc_uids))
         perf.stats.site_cutoffs_restored += 1
 
 

@@ -485,10 +485,12 @@ class _ExecState:
 
 _ADMITS = {LabelVar: Label, FunVar: FunName, ValueVar: Value}
 
-# Hash-consed runtime-const instantiations: (plan-node id, bound values)
+# Hash-consed runtime-const instantiations: (plan node, bound values)
 # → the instantiated plain tree.  Reusing one tree object per valuation
 # keeps its (uid, version) stable, so every repeated test lands in the
-# persistent subsumption cache.
+# persistent subsumption cache.  The key holds the plan node itself (it
+# hashes by identity): keyed by ``id()`` alone, a freed query's id reused
+# by a new plan node would answer with another shape's tree.
 _RT_CONST_CACHE: Dict[tuple, Node] = {}
 _RT_CONST_MAX = 200_000
 
@@ -520,9 +522,9 @@ def _rt_const_info(plan_node: PlanNode):
     return tuple(variables), plan_node.to_pattern()
 
 
-def _rt_const_tree(pid: int, template: PatternNode,
+def _rt_const_tree(plan_node: PlanNode, template: PatternNode,
                    values: tuple, binding) -> Node:
-    key = (pid, values)
+    key = (plan_node, values)
     tree = _RT_CONST_CACHE.get(key)
     if tree is None:
         if len(_RT_CONST_CACHE) >= _RT_CONST_MAX:
@@ -650,7 +652,6 @@ def _compile_full(plan_node: PlanNode, ineq_vars: frozenset):
     if rt is None:
         return m_struct
     rt_vars, template = rt
-    pid = id(plan_node)
 
     def m_rt(node, state, cont):
         binding = state.binding
@@ -661,7 +662,7 @@ def _compile_full(plan_node: PlanNode, ineq_vars: frozenset):
                 m_struct(node, state, cont)
                 return
             values.append(value)
-        tree = _rt_const_tree(pid, template, tuple(values), binding)
+        tree = _rt_const_tree(plan_node, template, tuple(values), binding)
         perf.stats.const_subpattern_tests += 1
         if is_subsumed(tree, node):
             cont()
@@ -853,7 +854,6 @@ def _compile_delta(plan_node: PlanNode, ineq_vars: frozenset):
     if rt is None:
         return m_struct
     rt_vars, template = rt
-    pid = id(plan_node)
 
     def m_rt(node, state, need_new, cont):
         cutoff = state.cutoff
@@ -867,7 +867,7 @@ def _compile_delta(plan_node: PlanNode, ineq_vars: frozenset):
                 m_struct(node, state, need_new, cont)
                 return
             values.append(value)
-        tree = _rt_const_tree(pid, template, tuple(values), binding)
+        tree = _rt_const_tree(plan_node, template, tuple(values), binding)
         perf.stats.const_subpattern_tests += 1
         if is_subsumed(tree, node):
             # Liberal newness report, same argument as the const path:

@@ -13,7 +13,6 @@ from .index import (
     clear_index,
     index_sizes,
     marking_census,
-    marking_set,
     probe_bucket,
 )
 from .node import FunName, Label, Marking, Node, Value, fun, label, val
@@ -65,7 +64,6 @@ __all__ = [
     "label",
     "lub",
     "marking_census",
-    "marking_set",
     "probe_bucket",
     "parse_forest",
     "parse_tree",

@@ -1,5 +1,5 @@
 """Inverted marking indexes over live documents (the query compiler's
-candidate source).
+candidate source, and the only child-list index in the library).
 
 The matchers in :mod:`paxml.query` repeatedly ask two questions about a
 document node: *which children carry marking m?* (constant sibling
@@ -27,14 +27,15 @@ Consistency contract (see the version-stamp comment in
   are exact, not merely equivalent.)
 
 Entries are keyed by node uid and record the node they were built from;
-a lookup accepts an entry only for that very node object (``is``), as
-the columnar store's rows do.  Uids are not unique across trees:
-point-in-time replay (:func:`paxml.kernel.checkpoint.replay_prefix`)
-and checkpoint resume rebuild copies that reuse live uids, and the
-identity check keeps such a copy from reading — or, through
-:func:`note_graft`, patching — a live entry.  Entries are bounded
-crudely, like the persistent subsumption cache: cleared wholesale on
-overflow, correct at any size.
+a lookup accepts an entry only for that very node object (``is``).
+Uids are not unique across trees: point-in-time replay
+(:func:`paxml.kernel.checkpoint.replay_prefix`) and checkpoint resume
+rebuild copies that reuse live uids, and the identity check keeps such a
+copy from reading — or, through :func:`note_graft`, patching — a live
+entry.  (Subtree marking bitsets need no such check; they live in
+:mod:`paxml.tree.store`, validated by version alone.)  Entries are
+bounded crudely, like the persistent subsumption cache: cleared
+wholesale on overflow, correct at any size.
 """
 
 from __future__ import annotations
@@ -172,36 +173,6 @@ def _build_probe(node: Node, p_marking: Marking,
 
 
 # ----------------------------------------------------------------------
-# Subtree marking sets: the O(1) necessary condition for subsumption.
-#
-# A subsumption homomorphism maps every node of t1 to a marking-equal
-# node of t2, so markings(t1) ⊆ markings(t2) whenever t1 ⊑ t2.  (Only
-# the *set* is usable: homomorphisms are non-injective, so counts carry
-# no information — a{b, b, b} ⊑ a{b}.)  The sets are cached per
-# (uid, version) and shared across every subsumption entry point, which
-# turns the all-pairs comparisons of antichain maintenance over
-# value-distinct answers into frozenset subset tests.
-# ----------------------------------------------------------------------
-
-_MARKING_SETS: Dict[int, Tuple[int, frozenset]] = {}
-_MARKING_SETS_MAX = 500_000
-
-perf.register_cache(_MARKING_SETS.clear)
-
-
-def marking_set(root: Node) -> frozenset:
-    """The set of markings occurring in the subtree at ``root``."""
-    entry = _MARKING_SETS.get(root.uid)
-    if entry is not None and entry[0] == root.version:
-        return entry[1]
-    markings = frozenset(node.marking for node in root.iter_nodes())
-    if len(_MARKING_SETS) >= _MARKING_SETS_MAX:
-        _MARKING_SETS.clear()
-    _MARKING_SETS[root.uid] = (root.version, markings)
-    return markings
-
-
-# ----------------------------------------------------------------------
 # Document census: marking → node count over a whole tree, the planner's
 # selectivity estimate.  Cached against the root's version; a graft
 # anywhere bumps it, so the census follows growth without hooks.
@@ -235,5 +206,4 @@ def index_sizes() -> Dict[str, int]:
         "child_entries": len(_CHILD_INDEX),
         "probe_entries": len(_PROBE_INDEX),
         "census_entries": len(_CENSUS),
-        "marking_set_entries": len(_MARKING_SETS),
     }

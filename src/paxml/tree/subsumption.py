@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .. import perf
-from .index import child_buckets, marking_set
+from .index import child_buckets
 from .node import Node
 from .store import subtree_bits
 
@@ -106,10 +106,9 @@ def is_subsumed(t1: Node, t2: Node) -> bool:
 
     Entry fast path: a homomorphism maps every node of ``t1`` onto a
     marking-equal node of ``t2``, so the subtree marking set of ``t1``
-    must be contained in that of ``t2``.  With the columnar store on the
-    containment test is one int expression over packed bitsets
-    (``b1 & ~b2`` is nonzero iff some marking of ``t1`` is missing from
-    ``t2``); otherwise it is the PR 4 cached frozenset subset test.  Either form rejects most all-pairs
+    must be contained in that of ``t2``.  The containment test is one int
+    expression over packed bitsets (``b1 & ~b2`` is nonzero iff some
+    marking of ``t1`` is missing from ``t2``); it rejects most all-pairs
     comparisons between value-distinct answer trees before any recursion.
     """
     if t1.marking != t2.marking:
@@ -117,12 +116,8 @@ def is_subsumed(t1: Node, t2: Node) -> bool:
         # this first keeps mismatched fresh trees (canonical_key's sibling
         # maximality filter produces many) from ever touching the store.
         return False
-    if perf.flags.columnar_store:
-        if subtree_bits(t1) & ~subtree_bits(t2):
-            perf.stats.bitset_rejects += 1
-            return False
-    elif not marking_set(t1) <= marking_set(t2):
-        perf.stats.subsumption_early_rejects += 1
+    if subtree_bits(t1) & ~subtree_bits(t2):
+        perf.stats.bitset_rejects += 1
         return False
     return _simulates(t1, t2, {})
 

@@ -47,14 +47,14 @@ from paxml.tree import (
     child_buckets,
     is_subsumed,
     label,
-    marking_set,
     parse_tree,
     probe_bucket,
     val,
 )
 from paxml.tree.node import Label, Value, current_stamp
 from paxml.tree.reduction import reduce_forest
-from paxml.tree.serializer import from_wire, to_wire
+from paxml.tree.serializer import from_wire, to_canonical, to_wire
+from paxml.tree.store import intern_marking, subtree_bits
 from paxml.workloads import (
     chain_edges,
     portal_system,
@@ -292,6 +292,21 @@ def test_constant_sibling_dedup_keeps_the_antichain():
     assert len(planned) == 1
 
 
+def test_runtime_const_trees_survive_freed_queries():
+    # Queries parsed, evaluated and dropped in turn free their plans, so
+    # a later plan's runtime-const template can land at a freed one's
+    # address; the cached instantiation must never cross shapes.
+    document = parse_tree("a{b{1}, c{1}, b{2}, d{2}}")
+    shapes = {"hit{$x} :- d/a{b{$x}, c{$x}}": {"hit{1}"},
+              "hit{$x} :- d/a{b{$x}, d{$x}}": {"hit{2}"}}
+    perf.stats.reset()
+    for _ in range(100):
+        for text, expected in shapes.items():
+            forest = evaluate_snapshot(parse_query(text), {"d": document})
+            assert {to_canonical(tree) for tree in forest} == expected
+    assert perf.stats.const_subpattern_tests > 0
+
+
 def test_inequalities_compiled_to_binding_sites():
     query = parse_query(
         'h{$x} :- d/r{a{$x}, b{$y}, c{$z}}, $x != $y, $y != "3"')
@@ -405,20 +420,13 @@ def test_index_entries_belong_to_the_node_they_were_built_from():
 def test_marking_set_reject_is_sound_for_non_injective_simulations():
     # a{b, b, b} ⊑ a{b}: counts must not matter, only marking presence.
     assert is_subsumed(parse_tree("a{b, b, b}"), parse_tree("a{b}"))
-    assert marking_set(parse_tree("a{b{c}}")) == {
-        Label("a"), Label("b"), Label("c")}
-    # With the columnar store on the entry reject is the packed-bitset
-    # test; with it off, the PR 4 cached-frozenset subset test.  Set
-    # explicitly: this test exercises both paths whatever the CI
-    # flag-matrix job disabled by default.
-    perf.flags.columnar_store = True
+    # The entry reject is the packed subtree-bitset test: one bit per
+    # marking present, whatever its count.
+    assert subtree_bits(parse_tree("a{b{c}, b{c}}")) == sum(
+        1 << intern_marking(Label(name)) for name in "abc")
     before = perf.stats.bitset_rejects
     assert not is_subsumed(parse_tree("a{x}"), parse_tree("a{y}"))
     assert perf.stats.bitset_rejects > before
-    perf.flags.columnar_store = False
-    before = perf.stats.subsumption_early_rejects
-    assert not is_subsumed(parse_tree("a{x}"), parse_tree("a{y}"))
-    assert perf.stats.subsumption_early_rejects > before
 
 
 # ----------------------------------------------------------------------

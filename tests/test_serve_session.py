@@ -22,6 +22,7 @@ from paxml.system import materialize
 from paxml.tree import child_buckets
 from paxml.tree.parser import parse_tree
 from paxml.tree.serializer import to_canonical
+from paxml.tree.store import intern_marking, subtree_bits
 from paxml.workloads import random_edges, tc_system
 
 
@@ -170,8 +171,8 @@ class TestSessionOps:
 class TestReplayIsolation:
     """``read_at`` replays copies that reuse the live uids.  Interleaved
     with further live grafts, the copies must never leak into the live
-    tenant: not into its child-index entries, not into later historical
-    reads, and not into its limit."""
+    tenant: not into its child-index entries, not into its subtree
+    bits, not into later historical reads, and not into its limit."""
 
     # A cycle closes as the edges arrive, so most closure rows gain a
     # mirrored row later: replay then compares copies of earlier rows
@@ -187,6 +188,14 @@ class TestReplayIsolation:
             indexed = {id(child) for bucket in child_buckets(node).values()
                        for child in bucket}
             assert indexed == live, to_canonical(node)
+
+    @staticmethod
+    def _bits_match_oracle(nodes):
+        for node in nodes:
+            oracle = 0
+            for sub in node.iter_nodes():
+                oracle |= 1 << intern_marking(sub.marking)
+            assert subtree_bits(node) == oracle, to_canonical(node)
 
     async def _script(self, session, check=None):
         """Inject the edges one by one, each also tagging a d1 row (a
@@ -237,6 +246,9 @@ class TestReplayIsolation:
                 assert session.read_at(name, grafts)["tree"] == tree
                 self._buckets_hold_live_children(
                     document.root for document in documents.values())
+                self._bits_match_oracle(
+                    node for document in documents.values()
+                    for node in document.root.iter_nodes())
 
         asyncio.run(self._script(session, check))
         assert len({grafts for _name, grafts in history}) > len(self.INJECTED)

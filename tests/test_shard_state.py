@@ -113,7 +113,7 @@ class TestFlagsSnapshotApply:
         with pytest.raises(AttributeError, match="subsumption_cach"):
             perf.flags.subsumption_cach = False
         assert not hasattr(perf.flags, "subsumption_cach")
-        assert len(perf.flags.snapshot()) == 7
+        assert len(perf.flags.snapshot()) == 6
 
     def test_env_disabled_flags_stay_off(self, monkeypatch):
         monkeypatch.setattr(perf, "_ENV_DISABLED",

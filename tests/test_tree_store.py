@@ -1,16 +1,18 @@
-"""The columnar store and bitset antichain against their object oracles.
+"""The subtree-bits memo and bitset antichain against their oracles.
 
-The PR 6 raw-speed layer (``paxml.tree.store``, ``paxml.tree.antichain``
-and the evaluator's head templates) is pure acceleration: every array,
-bitset and head template must be observationally equivalent to the
-PR 4 object-tree paths it shadows.  These tests drive the store through
-hundreds of random graft sequences — clean, batch-wide, fault-injected
-and across a checkpoint/resume boundary with the flag flipped on exactly
-one side — and check the arrays cell by cell against the object tree.
+The raw-speed layer (``paxml.tree.store``, ``paxml.tree.antichain`` and
+the evaluator's head templates) is pure acceleration: every memoised
+bitset must equal a direct recomputation from the object tree
+(:func:`oracle_bits`), and every antichain the same kept set as
+``antichain_insert``.  These tests drive the memo through hundreds of
+random graft sequences — clean, batch-wide, fault-injected, across a
+checkpoint/resume boundary and under a lowered entry ceiling — and
+check every node's bits against the oracle.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -23,7 +25,11 @@ from paxml.query.incremental import (
     _compile_head_bits,
     _compile_head_key,
 )
-from paxml.query.matching import enumerate_assignments, evaluate_snapshot
+from paxml.query.matching import (
+    enumerate_assignments,
+    evaluate_snapshot,
+    naive_assignments,
+)
 from paxml.query.parser import parse_query
 from paxml.query.pattern import instantiate
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
@@ -34,7 +40,7 @@ from paxml.tree import canonical_key, is_subsumed, label, val
 from paxml.tree import store as tree_store
 from paxml.tree.antichain import BitsetAntichain
 from paxml.tree.node import Node
-from paxml.tree.reduction import antichain_insert
+from paxml.tree.reduction import antichain_insert, reduce_forest
 from paxml.workloads import (
     chain_edges,
     portal_system,
@@ -68,19 +74,9 @@ def oracle_bits(node: Node) -> int:
 
 
 def assert_store_consistent(root: Node) -> None:
-    """Every row the store answers for ``root`` must match the objects."""
+    """Every node's memoised bits under ``root`` must equal the oracle."""
     for node in root.iter_nodes():
-        row = tree_store.ensure_row(node)
-        assert tree_store.row_marking(row) == node.marking
-        assert tree_store.row_version(row) == node.version
-        assert tree_store.node_at(row) is node
         assert tree_store.subtree_bits(node) == oracle_bits(node)
-        child_rows = tree_store.children_rows(node)
-        assert [tree_store.node_at(r) for r in child_rows] == node.children
-        for crow in child_rows:
-            assert tree_store.row_parent(crow) == row
-        if node.is_value:
-            assert tree_store.row_value(row) == node.marking.value
 
 
 def path_to(root: Node, node: Node) -> list:
@@ -95,17 +91,20 @@ def path_to(root: Node, node: Node) -> list:
 
 
 # ----------------------------------------------------------------------
-# random graft sequences: store vs object tree, flag-on vs flag-off
+# random graft sequences: memo vs oracle, warm vs cold memo
 # ----------------------------------------------------------------------
 
 
-def _run_graft_sequence(seed: int, flag_on: bool, check: bool) -> Node:
-    """One deterministic random graft sequence; returns the final tree."""
-    perf.flags.columnar_store = flag_on
+def _run_graft_sequence(seed: int, warm: bool) -> Node:
+    """One deterministic random graft sequence; returns the final tree.
+
+    ``warm`` keeps the memo across grafts and checks it after each one;
+    otherwise every graft starts from an empty memo (the reference).
+    """
     tree_store.clear_store()
     rng = random.Random(seed)
     root = random_tree(18, seed)
-    if flag_on:
+    if warm:
         tree_store.warm(root)
     for step in range(6):
         targets = [n for n in root.iter_nodes()
@@ -115,25 +114,28 @@ def _run_graft_sequence(seed: int, flag_on: bool, check: bool) -> Node:
         target = rng.choice(targets)
         forest = [random_tree(rng.randint(1, 6), seed * 977 + step * 13 + i)
                   for i in range(rng.randint(1, 3))]
+        if not warm:
+            tree_store.clear_store()
         graft_trees(path_to(root, target), forest)
-        if check and flag_on:
+        if warm:
             assert_store_consistent(root)
     return root
 
 
 @pytest.mark.parametrize("block", range(5))
 def test_store_matches_object_tree_on_100_random_graft_sequences(block):
-    """≥100 random graft sequences: arrays equal the objects cell by cell,
-    and the flag-on tree is structurally identical to the flag-off one."""
+    """≥100 random graft sequences: bits equal the oracle on every node
+    after every graft, and the tree grown with a warm memo is
+    structurally identical to the one grown from a cold memo."""
     for seed in range(block * 20, block * 20 + 20):
-        with_store = _run_graft_sequence(seed, flag_on=True, check=True)
-        without = _run_graft_sequence(seed, flag_on=False, check=False)
-        assert canonical_key(with_store) == canonical_key(without)
+        warm = _run_graft_sequence(seed, warm=True)
+        cold = _run_graft_sequence(seed, warm=False)
+        assert canonical_key(warm) == canonical_key(cold)
 
 
 def test_untracked_mutations_heal_at_read_time():
-    """``add_child`` outside the graft path stales rows; the next read
-    must rebuild them (counted) instead of answering from stale bits."""
+    """``add_child`` outside the graft path stales entries; the next read
+    must re-walk them (counted) instead of answering from stale bits."""
     root = random_tree(12, 3)
     tree_store.warm(root)
     inner = next(n for n in root.iter_nodes() if not n.is_value)
@@ -157,27 +159,28 @@ def test_batch_graft_on_wide_parent_matches_sequential():
     )
 
     results = {}
-    for flag_on in (False, True):
-        perf.flags.columnar_store = flag_on
+    for batched in (False, True):
         tree_store.clear_store()
         root = label("doc", build())
         wide = root.children[0]
-        if flag_on:
-            tree_store.warm(root)
+        tree_store.warm(root)
         for batch in grafts:
-            inserted = graft_trees([root, wide, wide.children[0]],
-                                   [t.copy() for t in batch])
+            # One tree per call never takes the batch path.
+            calls = [batch] if batched else [[t] for t in batch]
+            inserted = []
+            for trees in calls:
+                inserted += graft_trees([root, wide, wide.children[0]],
+                                        [t.copy() for t in trees])
             assert len(inserted) >= 1
         for child in wide.children:
             assert child.parent is wide
-        if flag_on:
-            assert_store_consistent(root)
-        results[flag_on] = canonical_key(root)
+        assert_store_consistent(root)
+        results[batched] = canonical_key(root)
     assert results[True] == results[False]
 
 
 # ----------------------------------------------------------------------
-# whole-system runs: clean, fault-injected, flag matrix
+# whole-system runs: clean and fault-injected
 # ----------------------------------------------------------------------
 
 
@@ -189,11 +192,9 @@ def _doc_keys(system):
 @pytest.mark.parametrize("seed", range(4))
 def test_fault_injected_run_keeps_store_consistent(seed):
     reference = tc_system(random_edges(5, 8, seed=seed))
-    perf.flags.columnar_store = False
     materialize(reference)
     expected = _doc_keys(reference)
 
-    perf.flags.columnar_store = True
     tree_store.clear_store()
     subject = tc_system(random_edges(5, 8, seed=seed))
     injector = FaultInjector(seed=seed, drop_rate=0.2, error_rate=0.2,
@@ -208,57 +209,105 @@ def test_fault_injected_run_keeps_store_consistent(seed):
         assert_store_consistent(doc.root)
 
 
-def test_flag_matrix_reaches_the_same_fixpoint():
-    """columnar_store ∈ {0,1}: identical fixpoints."""
-    fixpoints = []
-    for columnar in (False, True):
-        perf.flags.set_all(True)
-        perf.flags.columnar_store = columnar
-        perf.clear_caches()
-        system = portal_system(5, materialized_fraction=0.4, seed=11)
-        outcome = materialize(system)
-        assert outcome.terminated
-        fixpoints.append(_doc_keys(system))
-    assert fixpoints[1] == fixpoints[0]
+# ----------------------------------------------------------------------
+# the entry ceiling: overflow between walks, interned ids kept
+# ----------------------------------------------------------------------
+
+_CEILING_QUERY = ("p{c0{$x}, c1{$y}} :- "
+                  "d/r{t{c0{$x}, c1{$z}}, t{c0{$z}, c1{$y}}}")
+
+
+def test_memo_ceiling_overflows_only_between_walks(monkeypatch):
+    """A ceiling far below one tree's size must not lose a walk's own
+    entries, nor reset the interned ids live antichains hold."""
+    probe = label("probe-marking")
+    first_id = tree_store.intern_marking(probe.marking)
+    generation = tree_store.generation()
+    reference = tc_system(random_edges(5, 9, seed=4))
+    assert materialize(reference).terminated
+    expected = _doc_keys(reference)
+
+    monkeypatch.setattr(tree_store, "_ROWS_MAX", 4)
+    chain = label("a", label("b", label("c", label("d", label("e", label(
+        "f", val(1)))))))
+    flat = label("r", *[label(f"k{i}") for i in range(6)])
+    trees = [chain, flat] + [random_tree(7 + seed, seed) for seed in range(20)]
+    for tree in trees:
+        assert_store_consistent(tree)
+
+    # A whole run to fixpoint overflowing all the time.
+    system = tc_system(random_edges(5, 9, seed=4))
+    assert materialize(system).terminated
+    assert _doc_keys(system) == expected
+
+    # An incremental evaluator whose site antichain outlives overflows.
+    query = parse_query(_CEILING_QUERY)
+    root = relation_tree(random_edges(5, 10, seed=2))
+    evaluator = IncrementalQueryEvaluator(query)
+    delivered = list(evaluator.evaluate_delta({"d": root}, site=1))
+    for a, b in ((0, 4), (4, 1), (2, 0), (3, 3)):
+        root.add_child(label("t", label("c0", val(a)), label("c1", val(b))))
+        delivered.extend(evaluator.evaluate_delta({"d": root}, site=1))
+    naive = reduce_forest([instantiate(query.head, binding)
+                           for binding in naive_assignments(query,
+                                                            {"d": root})])
+    assert naive
+    assert _keys(reduce_forest(delivered)) == _keys(naive)
+    kept = list(evaluator._sites[1].results)
+    assert _keys(kept) == _keys(naive)
+
+    assert tree_store.store_sizes()["rows"] < 4 + root.size()
+    assert tree_store.intern_marking(probe.marking) == first_id
+    assert tree_store.generation() == generation
 
 
 # ----------------------------------------------------------------------
-# checkpoint → resume with the store flag flipped on one side
+# checkpoint → resume: the memo is derived data
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("store_before,store_after",
-                         [(True, False), (False, True)])
-def test_checkpoint_resume_across_store_flag_flip(tmp_path, store_before,
-                                                  store_after):
-    """The store is derived data: a bundle written with the flag on must
-    resume with it off (and vice versa) to the exact reference fixpoint."""
-    perf.flags.columnar_store = False
+@pytest.mark.parametrize("cleared", [True, False],
+                         ids=["cleared", "stale-entries"])
+def test_checkpoint_resume_after_clear_caches(tmp_path, cleared):
+    """A bundle resumes to the uninterrupted run's fixpoint whether the
+    memo starts empty (``perf.clear_caches()``: fresh intern ids too) or
+    still holds the checkpointing run's entries, which answer for the
+    restored copies because they share ``(uid, version)``."""
     reference = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
                               seed=3)
     assert materialize(reference).terminated
     expected = _doc_keys(reference)
 
-    perf.flags.columnar_store = store_before
     perf.clear_caches()
     system = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
                            seed=3)
     engine = RewritingEngine(system)
     partial = engine.run(max_steps=6)
     assert partial.status is RunStatus.BUDGET_EXHAUSTED
-    bundle = str(tmp_path / "flip.jsonl")
+    bundle = str(tmp_path / "resume.jsonl")
     engine.checkpoint(bundle)
+    # The header's store field is a diagnostic; bundles from before the
+    # memo lost its child lists carry more keys and must still load.
+    with open(bundle) as handle:
+        lines = handle.read().splitlines()
+    header = json.loads(lines[0])
+    assert set(header["store"]) == {"rows", "interned_markings"}
+    header["store"].update(child_pool=0, overflow_rows=0)
+    lines[0] = json.dumps(header)
+    with open(bundle, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
-    perf.flags.columnar_store = store_after
-    perf.clear_caches()
+    if cleared:
+        perf.clear_caches()
     resumed = resume(bundle)
+    # resume() re-derives the memo from the restored documents
+    for doc in resumed.system.documents.values():
+        assert_store_consistent(doc.root)
     result = resumed.run()
     assert result.status is RunStatus.TERMINATED
     assert _doc_keys(resumed.system) == expected
-    if store_after:
-        # resume() warms the store from the restored documents
-        for doc in resumed.system.documents.values():
-            assert_store_consistent(doc.root)
+    for doc in resumed.system.documents.values():
+        assert_store_consistent(doc.root)
 
 
 # ----------------------------------------------------------------------
@@ -368,26 +417,8 @@ def test_head_bits_survive_a_store_clear():
 
 
 # ----------------------------------------------------------------------
-# evaluator equivalence and the PR 6 counters
+# the raw-speed counters
 # ----------------------------------------------------------------------
-
-
-def test_incremental_evaluator_equivalent_across_store_flag():
-    query = parse_query("p{c0{$x}, c1{$y}} :- "
-                        "d/r{t{c0{$x}, c1{$z}}, t{c0{$z}, c1{$y}}}")
-    results = {}
-    for flag_on in (False, True):
-        perf.flags.columnar_store = flag_on
-        perf.clear_caches()
-        root = relation_tree(random_edges(5, 12, seed=7))
-        evaluator = IncrementalQueryEvaluator(query)
-        forest = list(evaluator.evaluate_delta({"d": root}, site=1))
-        # grow the relation and take the delta too
-        root.add_child(label("t", label("c0", val(0)), label("c1", val(4))))
-        forest.extend(evaluator.evaluate_delta({"d": root}, site=1))
-        results[flag_on] = _keys(forest)
-    assert results[True]  # the join is non-empty, no vacuous pass
-    assert results[True] == results[False]
 
 
 def test_const_subpattern_fast_path_fires():
@@ -406,9 +437,6 @@ def test_const_subpattern_fast_path_fires():
 def test_pr6_counters_reach_the_metrics_registry():
     """store/bitset/closure counters must flow through paxml.obs.metrics
     (the paxml_perf pull collector) without any extra wiring."""
-    # explicit (not via set_all): this test is about the columnar store
-    # even when the CI flag-matrix job disables it by default
-    perf.flags.columnar_store = True
     system = tc_system(chain_edges(4))
     perf.stats.reset()
     assert materialize(system).terminated
@@ -417,7 +445,6 @@ def test_pr6_counters_reach_the_metrics_registry():
                     "paxml_perf_store_graft_patches",
                     "paxml_perf_bitset_rejects",
                     "paxml_perf_closure_compilations",
-                    "paxml_perf_facade_materializations",
                     "paxml_perf_const_subpattern_tests"):
         assert counter in scrape, counter
     assert perf.stats.closure_compilations > 0
