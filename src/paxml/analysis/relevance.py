@@ -1,24 +1,39 @@
 """Incremental weak-relevance tracking (Section 4, wired into the runtime).
 
-:mod:`paxml.analysis.lazy` implements the paper's *weak relevance*
-over-approximation as a batch computation: rerun the goal fixpoint over
-the whole system and return the relevant call set.  That is the right
-shape for an offline report but the wrong one for a scheduler that asks
-"did this graft wake anything?" thousands of times per run.
+The paper's *weak relevance* is a PTIME over-approximation of the calls
+that can still change a query's answer.  :func:`~paxml.analysis.lazy.
+weakly_relevant_calls` asks for it once; a lazy scheduler asks "did this
+graft wake anything?" thousands of times per run.  :class:`RelevanceTracker`
+serves both from one incrementally maintained fixpoint.
 
-:class:`RelevanceTracker` maintains the same fixpoint *incrementally*.
-The key property making that sound is monotonicity: for a fixed goal set,
-growing a document can only grow each pattern node's relaxed-embedding
-image set (sibling completeness is ignored, so existing images never die),
-hence can only grow the extendable-position set and the relevant-call set.
-A graft therefore only ever *adds* relevance, and the tracker only needs
-to rescan the goals that read the grafted document (plus any service-body
-goals those rescans transitively introduce).  Shrinking is only possible
-when the *goal set* changes — :meth:`reseed` recomputes from scratch for
-that case (query unsubscribed, tenant retargeted).
+**Goal images.**  Every goal (a query body atom, or a body atom of a
+relevant call's service) is a pattern over one document.  Its *relaxed
+top-down embedding* maps each pattern node to the document nodes it could
+ever map onto: sibling patterns and cross-pattern variable consistency are
+ignored, and a regex-spec node may map to any label node on a downward
+label path below its parent's images (the path can wander).  A node is a
+*position* when it is an image of a pattern node that appended children
+could still extend: one with children (a new sibling may begin a new
+assignment), a regex node or a tree variable.  A call whose parent is a
+position is relevant.  Each goal keeps the images of exactly those
+positional pattern nodes, keyed by pattern node.
 
-Beyond the per-document goal rescan the tracker keeps two positional
-registries that the batch code handles inline:
+**The image invariant.**  Whether a node is an image of a pattern node
+depends only on its own marking and its ancestors'.  A graft adds children
+and never gives an existing node a new ancestor, so the images of existing
+nodes never change; only the inserted trees need a look.
+:meth:`RelevanceTracker._extend` descends into them from the pattern nodes
+their graft point already serves, so a graft costs work proportional to
+the inserted trees, not to the document.  Seeding a goal is the same
+routine started at the document root.  Reduction may delete nodes; their
+uids stay behind in the images and in the relevant set, which is harmless
+because uids are never reused, and is bounded only by the next
+:meth:`~RelevanceTracker.reseed`.  The relevant set shrinks only when the
+*goal set* changes: ``reseed`` recomputes from scratch (query
+unsubscribed, tenant retargeted).
+
+**Positional relevance.**  Two registries catch calls no goal pattern
+reaches:
 
 * **param hosts** — every relevant call node: calls grafted anywhere under
   its parameter forest feed its ``input`` and are relevant;
@@ -27,20 +42,14 @@ registries that the batch code handles inline:
   call's ``context`` and are relevant.
 
 On a graft the tracker walks the inserted trees' ancestor chain against
-these registries, so positionally-relevant calls are caught even when no
-goal pattern reaches them.
-
-The closure here is slightly *more* conservative than
-:func:`~paxml.analysis.lazy.weakly_relevant_calls`: every call marked
-relevant — including ones found positionally inside parameters or context
-— also contributes its service's body patterns as goals (the batch code
-only does this for calls found via a goal position).  More relevant calls
-can never make lazy evaluation unsound, only slightly less lazy.
+these registries.  Every relevant call — including ones found positionally
+inside parameters or context — contributes its service's body patterns as
+goals.  More relevant calls can never make lazy evaluation unsound, only
+slightly less lazy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..query.pattern import PatternNode, RegexSpec
@@ -52,16 +61,11 @@ from ..system.service import QueryService, UnionQueryService
 from ..system.system import AXMLSystem
 
 
-# ----------------------------------------------------------------------
-# relaxed top-down embedding (shared with analysis.lazy)
-# ----------------------------------------------------------------------
-
-
 def spec_compatible(spec, marking) -> bool:
     """Relaxed node test: can this pattern node ever map onto this marking?"""
     if isinstance(spec, RegexSpec):
-        # The path may *start* here only at a label node; deeper growth is
-        # handled by treating regex nodes as always-extendable (see below).
+        # A path step lands only on label nodes; the regex itself is not
+        # checked (the relaxation over-approximates every path).
         return isinstance(marking, Label)
     if isinstance(spec, TreeVar):
         return True
@@ -70,61 +74,19 @@ def spec_compatible(spec, marking) -> bool:
     return spec == marking
 
 
-def reachable_images(pattern: PatternNode, root: Node) -> Dict[int, Set[int]]:
-    """Top-down relaxed embedding: pattern-node-id → candidate doc node uids.
+def _positional(pnode: PatternNode) -> bool:
+    """Could children appended under this node's images extend a match?"""
+    return bool(pnode.children) or isinstance(pnode.spec, (RegexSpec, TreeVar))
 
-    Sibling patterns and cross-pattern variable consistency are ignored —
-    a sound over-approximation of where each pattern node can map.
-    Regex-spec nodes may map to any label descendant of their parent's
-    images (the path can wander), which keeps the analysis linear.
-    """
-    images: Dict[int, Set[int]] = {}
 
-    def descend(pnode: PatternNode, candidates: List[Node]) -> None:
-        mine = [n for n in candidates if spec_compatible(pnode.spec, n.marking)]
+def _below(pnodes: Iterable[PatternNode]) -> List[PatternNode]:
+    """Candidates for the children of a node the ``pnodes`` map onto."""
+    below: List[PatternNode] = []
+    for pnode in pnodes:
+        below.extend(pnode.children)
         if isinstance(pnode.spec, RegexSpec):
-            # Any label node on a downward path can be the end node.
-            widened: List[Node] = []
-            stack = list(mine)
-            seen: Set[int] = set()
-            while stack:
-                node = stack.pop()
-                if node.uid in seen:
-                    continue
-                seen.add(node.uid)
-                widened.append(node)
-                stack.extend(c for c in node.children
-                             if isinstance(c.marking, Label))
-            mine = widened
-        images.setdefault(id(pnode), set()).update(n.uid for n in mine)
-        child_candidates = [c for n in mine for c in n.children]
-        for child in pnode.children:
-            descend(child, child_candidates)
-
-    descend(pattern, [root])
-    return images
-
-
-def extendable_positions(pattern: PatternNode, root: Node) -> Set[int]:
-    """Doc-node uids where appended children could extend a match.
-
-    These are the images of pattern nodes that still have children to
-    satisfy (any non-leaf pattern node: a new sibling may begin a *new*
-    assignment even when old ones exist), plus images of regex nodes (the
-    path can grow through fresh data).
-    """
-    images = reachable_images(pattern, root)
-    positions: Set[int] = set()
-    for pnode in pattern.iter_nodes():
-        if pnode.children or isinstance(pnode.spec, RegexSpec) \
-                or isinstance(pnode.spec, TreeVar):
-            positions |= images.get(id(pnode), set())
-    return positions
-
-
-# ----------------------------------------------------------------------
-# the incremental tracker
-# ----------------------------------------------------------------------
+            below.append(pnode)  # the path may wander on
+    return list(dict.fromkeys(below))
 
 
 Site = Tuple[Document, Node]
@@ -145,6 +107,8 @@ class RelevanceTracker:
         self.use_service_bodies = use_service_bodies
         self.queries: List[PositiveQuery] = []
         self._goals: List[Tuple[str, PatternNode]] = []
+        # Per goal: positional pattern node → the uids of its images.
+        self._images: List[Dict[PatternNode, Set[int]]] = []
         self._goals_by_doc: Dict[str, List[int]] = {}
         self._processed_services: Set[str] = set()
         self._relevant: Dict[int, Site] = {}
@@ -182,6 +146,7 @@ class RelevanceTracker:
         """
         self.queries = list(queries)
         self._goals = []
+        self._images = []
         self._goals_by_doc = {}
         self._processed_services = set()
         self._relevant = {}
@@ -200,15 +165,19 @@ class RelevanceTracker:
                  inserted: Sequence[Node] = ()) -> Set[int]:
         """Absorb one graft; returns uids of *newly* relevant calls.
 
-        Monotone: rescans the goals reading ``document`` (their images can
-        only have grown) and checks the inserted trees against the
-        positional host registries.  Any service-body goals introduced by
-        new relevance are drained to the usual fixpoint.
+        Each inserted tree's ``parent`` is its graft point.  ``node`` is
+        the hook's site argument, whose meaning differs by graft path
+        (see ``EvaluationKernel._notify_graft``), so it is never used.
+        Per goal reading ``document`` the work is :meth:`_extend` over the
+        inserted trees; service-body goals introduced by new relevance are
+        seeded and drained to the usual fixpoint.
         """
         if not self._goals and not self._relevant:
             return set()
         new: Set[int] = set()
         queue: List[int] = []
+        # Goals added while marking are queued, then seeded whole by _drain.
+        goals = tuple(self._goals_by_doc.get(document.name, ()))
         # Positional relevance: new calls under a relevant call's params
         # or under a context host's subtree.
         for tree in inserted:
@@ -216,7 +185,15 @@ class RelevanceTracker:
                 continue
             for call in self._tree_calls(tree):
                 self._mark(document, call, new, queue)
-        queue.extend(self._goals_by_doc.get(document.name, ()))
+        for index in goals:
+            images = self._images[index]
+            for tree in inserted:
+                parent = tree.parent
+                if tree.is_function and any(
+                        parent.uid in uids for uids in images.values()):
+                    self._mark(document, tree, new, queue)
+                for position in self._extend(index, parent, tree):
+                    self._mark_calls_under(document, position, new, queue)
         self._drain(queue, new)
         return new
 
@@ -237,11 +214,48 @@ class RelevanceTracker:
             calls = [tree] + calls
         return calls
 
+    # -- goal images -----------------------------------------------------
+
+    def _extend(self, index: int, parent: Optional[Node],
+                tree: Node) -> List[Node]:
+        """Grow goal ``index``'s images into ``tree``, a child of ``parent``.
+
+        The descent starts from the pattern nodes ``parent`` serves: the
+        children of those whose images hold it, plus regex nodes whose
+        images hold it (the path may wander on).  ``parent=None`` seeds:
+        the pattern root is the only candidate for ``tree`` (the document
+        root).  Returns the nodes that became positions.
+        """
+        images = self._images[index]
+        if parent is None:
+            frontier = [self._goals[index][1]]
+        else:
+            frontier = _below(pnode for pnode, uids in images.items()
+                              if parent.uid in uids)
+        positions: List[Node] = []
+        stack = [(tree, frontier)] if frontier else []
+        while stack:
+            node, candidates = stack.pop()
+            matched = [pnode for pnode in candidates
+                       if spec_compatible(pnode.spec, node.marking)]
+            positional = False
+            for pnode in matched:
+                if _positional(pnode):
+                    images.setdefault(pnode, set()).add(node.uid)
+                    positional = True
+            if positional:
+                positions.append(node)
+            below = _below(matched)
+            if below:
+                stack.extend((child, below) for child in node.children)
+        return positions
+
     # -- the goal fixpoint -----------------------------------------------
 
     def _add_goal(self, doc_name: str, pattern: PatternNode) -> int:
         index = len(self._goals)
         self._goals.append((doc_name, pattern))
+        self._images.append({})
         self._goals_by_doc.setdefault(doc_name, []).append(index)
         return index
 
@@ -251,23 +265,22 @@ class RelevanceTracker:
             new = set()
         cursor = 0
         while cursor < len(queue):
-            self._scan_goal(queue[cursor], new, queue)
+            self._seed_goal(queue[cursor], new, queue)
             cursor += 1
         return new
 
-    def _scan_goal(self, goal_index: int, new: Set[int],
+    def _seed_goal(self, goal_index: int, new: Set[int],
                    queue: List[int]) -> None:
-        doc_name, pattern = self._goals[goal_index]
-        document = self.system.documents.get(doc_name)
+        document = self.system.documents.get(self._goals[goal_index][0])
         if document is None:
             return
-        positions = extendable_positions(pattern, document.root)
-        if not positions:
-            return
-        for call, parent in document.root.iter_with_parents():
-            if parent is None or not call.is_function:
-                continue
-            if parent.uid in positions:
+        for position in self._extend(goal_index, None, document.root):
+            self._mark_calls_under(document, position, new, queue)
+
+    def _mark_calls_under(self, document: Document, position: Node,
+                          new: Set[int], queue: List[int]) -> None:
+        for call in position.children:
+            if call.is_function:
                 self._mark(document, call, new, queue)
 
     def _mark(self, document: Document, call: Node, new: Set[int],

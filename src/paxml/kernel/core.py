@@ -205,6 +205,8 @@ class EvaluationKernel:
 
         Shard workers apply replicated records below :meth:`apply_graft`
         (no hooks run), so they hand the delta to the tracker explicitly.
+        ``node`` is the record's site: the call for an engine graft, the
+        parent for an external one.
         """
         self._relevance_hook(document, node, inserted)
 
@@ -438,6 +440,14 @@ class EvaluationKernel:
 
     def _notify_graft(self, document: Document, node: Node,
                       inserted: List[Node]) -> None:
+        """Run every graft hook as ``hook(document, node, inserted)``.
+
+        ``node`` is the graft *site*, and its meaning depends on the path:
+        the call node from :meth:`apply_graft`, the parent from
+        :meth:`apply_external`, and either from a shard replica record
+        (:meth:`refresh_relevance`).  A hook that needs the node the trees
+        were grafted under must read each inserted tree's ``parent``.
+        """
         for hook in self.graft_hooks:
             hook(document, node, inserted)
 

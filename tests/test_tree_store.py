@@ -201,6 +201,7 @@ def test_fault_injected_run_keeps_store_consistent(seed):
                              duplicate_rate=0.2, max_attempt=2)
     runtime = AsyncRuntime(subject, injector=injector,
                            config=RuntimeConfig(concurrency=3, seed=seed,
+                                                call_timeout=0.2,
                                                 max_attempts=6))
     result = runtime.run()
     assert result.status is RuntimeStatus.TERMINATED
