@@ -88,7 +88,7 @@ def main() -> int:
         "kept": len(kept_bit),
         "antichains_equal": keys(kept_lin) == keys(kept_bit),
         "bitset_rejects": perf.stats.bitset_rejects,
-        "store_rows": tree_store.store_sizes()["rows"],
+        "interned_markings": tree_store.store_sizes()["interned_markings"],
     }
     print(json.dumps(report))
     return 0 if report["antichains_equal"] else 1

@@ -424,8 +424,7 @@ def _print_plan_stats(system, environment, rules) -> None:
                     "store_graft_patches"):
         print(f"  {counter}: {snapshot.get(counter, 0)}")
     sizes = tree_store.store_sizes()
-    print(f"  store rows: {sizes['rows']}  "
-          f"interned markings: {sizes['interned_markings']}")
+    print(f"  interned markings: {sizes['interned_markings']}")
 
 
 def cmd_explain(args) -> int:

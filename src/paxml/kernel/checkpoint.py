@@ -44,7 +44,6 @@ from ..query.parser import parse_query
 from ..system.invocation import find_path, graft_trees, graft_under
 from ..system.service import QueryService, Service, UnionQueryService
 from ..system.system import AXMLSystem
-from ..tree import store as tree_store
 from ..tree.document import CONTEXT, Document
 from ..tree.node import Node, advance_stamp_clock
 from ..tree.serializer import from_wire, wire_max_stamp
@@ -261,11 +260,9 @@ def replay_prefix(seeds: Dict[str, dict],
     The serve layer's historical reads: the state a document had after
     exactly ``len(grafts)`` productive grafts.  The replayed trees are
     throwaway read-only copies living alongside the live run and reuse
-    the live uids.  Neither derived structure needs a bypass: child-index
-    entries record the node they were built from, so a copy never reads
-    or patches a live entry, and subtree-bits entries are checked by
-    version, which fixes a subtree's markings — a copy that overwrites a
-    live entry only makes the live tree re-derive it at the next read.
+    the live uids.  No derived structure needs a bypass: the index and
+    bits memos live on the nodes, so a copy derives its own and never
+    reads or patches a live node's.
     """
     documents = {name: Document(name, from_wire(wire))
                  for name, wire in seeds.items()}
@@ -408,17 +405,6 @@ def resume(path: str, *, engine: Optional[str] = None,
         kernel.scheduler.enqueue(document, node)
 
     restored_sites = _restore_site_states(bundle, system, by_uid)
-
-    # The bits memo is derived state: re-derive it from the restored
-    # trees wholesale rather than persisting it in the bundle.  Restored
-    # nodes reuse their original (uid, version) stamps, so entries left
-    # by the checkpointing process answer for the restored copies too.
-    for document in system.documents.values():
-        tree_store.warm(document.root)
-    if obs_bus.ACTIVE:
-        sizes = tree_store.store_sizes()
-        obs_bus.emit(obs_events.STORE_WARMED, rows=sizes["rows"],
-                     interned_markings=sizes["interned_markings"])
 
     perf.stats.kernel_resumes += 1
     if obs_bus.ACTIVE:

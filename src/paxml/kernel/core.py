@@ -495,9 +495,10 @@ class EvaluationKernel:
             "lazy_queries": ([str(q) for q in self.lazy_queries]
                              if self.relevance_tracker is not None else None),
             "fire_once": self.fire_once,
-            # Snapshot of the bits memo's size at checkpoint time.  The
-            # memo is derived data — resume rebuilds it from the restored
-            # trees — so this is diagnostic, not restored state.
+            # Snapshot of the marking intern table's size at checkpoint
+            # time.  Node memos are derived data — restored trees derive
+            # them when first read — so this is diagnostic, not restored
+            # state.
             "store": tree_store.store_sizes(),
         }]
         if self.system is not None:

@@ -31,8 +31,6 @@ kind                      payload
 ``plan_lowered``          rule, atoms — the plan was lowered to specialized
                           closures (once per plan, on first closure-path
                           execution)
-``store_warmed``          rows, interned_markings — resume re-derived the
-                          subtree-bits memo of the restored documents
 ``tenant_created``        tenant, documents, services
 ``tenant_suspended``      tenant, bundle, steps, productive
 ``tenant_resumed``        tenant, bundle, steps, productive
@@ -91,7 +89,6 @@ CALL_EXHAUSTED = "call_exhausted"
 GRAFT_APPLIED = "graft_applied"
 PLAN_COMPILED = "plan_compiled"
 PLAN_LOWERED = "plan_lowered"
-STORE_WARMED = "store_warmed"
 CHECKPOINT_SAVED = "checkpoint_saved"
 RUN_RESUMED = "run_resumed"
 TENANT_CREATED = "tenant_created"
@@ -112,7 +109,7 @@ ALL_KINDS = frozenset({
     RUN_STARTED, RUN_FINISHED, CALL_SCHEDULED, ATTEMPT_STARTED,
     ATTEMPT_FINISHED, ATTEMPT_FAILED, RETRY, SHORT_CIRCUIT, CIRCUIT_TRIP,
     STALE_CALL, CALL_EXHAUSTED, GRAFT_APPLIED, PLAN_COMPILED, PLAN_LOWERED,
-    STORE_WARMED, CHECKPOINT_SAVED, RUN_RESUMED, TENANT_CREATED,
+    CHECKPOINT_SAVED, RUN_RESUMED, TENANT_CREATED,
     TENANT_SUSPENDED, TENANT_RESUMED, SUBSCRIPTION_OPENED, SUBSCRIPTION_DELTA,
     SPAN, SERVE_OP, WATCHDOG_STALL, FLIGHT_DUMP, SHARD_WORKER_STARTED,
     SHARD_RECORD_APPLIED, SHARD_ROUND, RELEVANCE_CHANGED,

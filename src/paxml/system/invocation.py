@@ -188,7 +188,7 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
     :meth:`paxml.kernel.EvaluationKernel.apply_external` (the serve
     layer's client-driven grafts), checkpoint replay directly (its
     wire-restored trees must keep their original uids, so no copy).
-    Owning the child-index and bits-memo maintenance (the two
+    Owning the index-memo and bits-memo maintenance (the two
     ``note_graft`` hooks) and the reduced-invariant restoration in one
     place is what keeps them wired exactly once.
     """
@@ -212,14 +212,14 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
                 graft.parent = parent
                 inserted.append(graft)
     if inserted:
-        # Pre-touch versions let the bits memo tell entries that were
-        # current before this graft (patchable in place) from entries an
+        # Pre-touch versions let the node memos tell those that were
+        # current before this graft (patchable in place) from those an
         # earlier untracked mutation already staled (healed at read time).
         pre_versions = [node.version for node in parent_path]
         # One stamp for the whole graft batch: every ancestor's subtree
         # gained content, which is what delta matching keys on.
         parent.touch()
-        tree_index.note_graft(parent, inserted)
+        tree_index.note_graft(parent, inserted, pre_versions[-1])
         tree_store.note_graft(parent_path, inserted, pre_versions)
         _propagate_growth(parent_path)
     return inserted

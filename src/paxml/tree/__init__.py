@@ -10,8 +10,6 @@ from .document import CONTEXT, INPUT, RESERVED_NAMES, Document, Forest
 from .index import (
     child_bucket,
     child_buckets,
-    clear_index,
-    index_sizes,
     marking_census,
     probe_bucket,
 )
@@ -53,13 +51,11 @@ __all__ = [
     "canonical_key",
     "child_bucket",
     "child_buckets",
-    "clear_index",
     "forest_equivalent",
     "forest_subsumed",
     "fun",
     "is_equivalent",
     "is_reduced",
-    "index_sizes",
     "is_subsumed",
     "label",
     "lub",

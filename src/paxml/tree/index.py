@@ -1,5 +1,5 @@
-"""Inverted marking indexes over live documents (the query compiler's
-candidate source, and the only child-list index in the library).
+"""Per-node marking indexes (the query compiler's candidate source, and
+the only child-list index in the library).
 
 The matchers in :mod:`paxml.query` repeatedly ask two questions about a
 document node: *which children carry marking m?* (constant sibling
@@ -7,35 +7,33 @@ patterns, subsumption's candidate pairing) and *which children carry
 marking m and contain a given value one or two levels down?* (the probe
 side of a sibling join).  The seed code answered both with a linear scan
 of ``node.children`` per partial binding; this module answers them from
-per-parent buckets kept consistent with the versioned tree.
+per-node buckets kept consistent with the versioned tree.
 
-Consistency contract (see the version-stamp comment in
-:mod:`paxml.tree.node`):
+Each node keeps one index memo in its ``_index`` slot: its children
+grouped by marking, the value probes built so far, and, on a document
+root the planner reads, the census of its tree.  The memo is stamped
+with the version it was built at and answers only while that equals
+``node.version`` (the rule of the canonical-key slot, see the
+version-stamp comment in :mod:`paxml.tree.node`):
 
 * every structural *addition* to a node's child list bumps the node's
-  version (``add_child`` / the graft path call ``touch``), so an entry
-  validated against ``node.version`` always contains **every current
-  child** — a stale entry is impossible to read;
+  version (``add_child`` / the graft path call ``touch``), so a memo that
+  answers contains **every current child** — a stale memo is never read;
 * equivalence-preserving *pruning* (reduction evicting a subsumed
-  sibling) may leave an entry holding a pruned child.  That is sound for
+  sibling) may leave a memo holding a pruned child.  That is sound for
   every consumer here: a pruned child is subsumed by a surviving
   sibling, and both matching and subsumption are invariant under
   document equivalence, so answers derived through the pruned copy are
   themselves subsumed by answers derived through the survivor and vanish
-  in forest reduction.  (The graft path nevertheless repairs entries
-  eagerly — see :func:`note_graft` — so in the engines' flows entries
+  in forest reduction.  (The graft path nevertheless patches the memo
+  eagerly — see :func:`note_graft` — so in the engines' flows buckets
   are exact, not merely equivalent.)
 
-Entries are keyed by node uid and record the node they were built from;
-a lookup accepts an entry only for that very node object (``is``).
-Uids are not unique across trees: point-in-time replay
-(:func:`paxml.kernel.checkpoint.replay_prefix`) and checkpoint resume
-rebuild copies that reuse live uids, and the identity check keeps such a
-copy from reading — or, through :func:`note_graft`, patching — a live
-entry.  (Subtree marking bitsets need no such check; they live in
-:mod:`paxml.tree.store`, validated by version alone.)  Entries are
-bounded crudely, like the persistent subsumption cache: cleared
-wholesale on overflow, correct at any size.
+A memo lives and dies with its node.  A copy that reuses a live node's
+uid (checkpoint resume, point-in-time replay) is another object with a
+memo of its own, so neither tree can read or patch the other's buckets.
+``Node.copy()`` starts without a memo: the buckets hold the original's
+children.
 """
 
 from __future__ import annotations
@@ -45,47 +43,43 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import perf
 from .node import Marking, Node, Value
 
-# uid → (node, version at build, child count at build, marking → children)
 _Buckets = Dict[Marking, List[Node]]
-_CHILD_INDEX: Dict[int, Tuple[Node, int, int, _Buckets]] = {}
-_CHILD_INDEX_MAX = 500_000
-
-# uid → (node, version at build,
-#        (p_marking, q_marking) → value marking → children)
+# (p_marking, q_marking) → value marking → children
 _ProbeMap = Dict[Tuple[Marking, Marking], Dict[Marking, List[Node]]]
-_PROBE_INDEX: Dict[int, Tuple[Node, int, _ProbeMap]] = {}
-_PROBE_INDEX_MAX = 100_000
 
 _EMPTY: Tuple[Node, ...] = ()
 
 
-def clear_index() -> None:
-    _CHILD_INDEX.clear()
-    _PROBE_INDEX.clear()
+class _IndexMemo:
+    """One node's index, valid while ``version`` equals the node's."""
 
+    __slots__ = ("version", "count", "buckets", "probes", "census")
 
-perf.register_cache(clear_index)
+    def __init__(self, node: Node):
+        buckets: _Buckets = {}
+        for child in node.children:
+            buckets.setdefault(child.marking, []).append(child)
+        self.version = node.version
+        self.count = len(node.children)
+        self.buckets = buckets
+        self.probes: Optional[_ProbeMap] = None
+        self.census: Optional[Tuple[Dict[Marking, int], int]] = None
 
 
 def child_buckets(node: Node) -> _Buckets:
-    """The children of ``node`` grouped by marking, from the live index.
+    """The children of ``node`` grouped by marking, from its index memo.
 
-    Validated against ``node.version``: any append since the entry was
-    built bumped the version, so a returned entry covers every current
+    Validated against ``node.version``: any append since the memo was
+    built bumped the version, so returned buckets cover every current
     child (see the module docstring for why pruned leftovers are sound).
     """
-    entry = _CHILD_INDEX.get(node.uid)
-    if entry is not None and entry[0] is node and entry[1] == node.version:
+    memo = node._index
+    if memo is not None and memo.version == node.version:
         perf.stats.index_hits += 1
-        return entry[3]
+        return memo.buckets
     perf.stats.index_misses += 1
-    buckets: _Buckets = {}
-    for child in node.children:
-        buckets.setdefault(child.marking, []).append(child)
-    if len(_CHILD_INDEX) >= _CHILD_INDEX_MAX:
-        _CHILD_INDEX.clear()
-    _CHILD_INDEX[node.uid] = (node, node.version, len(node.children), buckets)
-    return buckets
+    memo = node._index = _IndexMemo(node)
+    return memo.buckets
 
 
 def child_bucket(node: Node, marking: Marking) -> Sequence[Node]:
@@ -93,32 +87,32 @@ def child_bucket(node: Node, marking: Marking) -> Sequence[Node]:
     return child_buckets(node).get(marking, _EMPTY)
 
 
-def note_graft(parent: Node, inserted: Sequence[Node]) -> None:
-    """Patch ``parent``'s index entry after the graft path appended
-    ``inserted`` to its children (and bumped versions via ``touch``).
+def note_graft(parent: Node, inserted: Sequence[Node],
+               pre_version: int) -> None:
+    """Patch ``parent``'s index memo after the graft path appended
+    ``inserted`` to its children and ``touch`` bumped its version from
+    ``pre_version``.
 
-    Appending to the live buckets is O(inserted); when the antichain
-    insertion also *evicted* siblings the child count no longer lines up
-    and the entry is dropped instead (the next lookup rebuilds it), which
-    keeps entries exact — not merely equivalent — along the graft path.
-    Ancestor entries need no treatment: the same ``touch`` bumped their
-    versions, so their stale entries can never be read again.  An entry
-    built from another node with the same uid (a replayed copy, or the
-    live tree while a copy grafts) is left alone: patching it would mix
-    the two trees' children.
+    Appending to the live buckets is O(inserted).  A memo that was stale
+    before the graft is left to be rebuilt at its next read; one whose
+    child count no longer lines up (the antichain insertion also
+    *evicted* siblings) is dropped, which keeps buckets exact — not
+    merely equivalent — along the graft path.  The probes and the census
+    are dropped.  Ancestor memos need no treatment: the same ``touch``
+    bumped their versions, so they can never be read again.
     """
-    _PROBE_INDEX.pop(parent.uid, None)
-    entry = _CHILD_INDEX.get(parent.uid)
-    if entry is None or entry[0] is not parent:
+    memo = parent._index
+    if memo is None or memo.version != pre_version:
         return
-    _node, _version, count, buckets = entry
-    if len(parent.children) != count + len(inserted):
-        del _CHILD_INDEX[parent.uid]
+    if len(parent.children) != memo.count + len(inserted):
+        parent._index = None
         return
+    buckets = memo.buckets
     for child in inserted:
         buckets.setdefault(child.marking, []).append(child)
-    _CHILD_INDEX[parent.uid] = (parent, parent.version, len(parent.children),
-                                buckets)
+    memo.version = parent.version
+    memo.count = len(parent.children)
+    memo.probes = memo.census = None
     perf.stats.index_graft_patches += 1
 
 
@@ -130,8 +124,8 @@ def note_graft(parent: Node, inserted: Sequence[Node]) -> None:
 # with marking q that has a value child equal to the binding of $z — a
 # necessary condition of the embedding.  The probe map answers "children
 # of n matching (p, q) with value v" in O(answer) once built; building
-# is one pass over three levels of n's subtree, memoised against n's
-# version.
+# is one pass over the p bucket and two levels below it, memoised in n's
+# index memo.
 # ----------------------------------------------------------------------
 
 
@@ -139,27 +133,25 @@ def probe_bucket(node: Node, p_marking: Marking, q_marking: Marking,
                  value: Marking) -> Sequence[Node]:
     """Children of ``node`` with ``p_marking`` owning a ``q_marking`` child
     that has a value leaf marked ``value``."""
-    entry = _PROBE_INDEX.get(node.uid)
-    if entry is None or entry[0] is not node or entry[1] != node.version:
-        if len(_PROBE_INDEX) >= _PROBE_INDEX_MAX:
-            _PROBE_INDEX.clear()
-        entry = (node, node.version, {})
-        _PROBE_INDEX[node.uid] = entry
-    probes = entry[2]
+    memo = node._index
+    if memo is None or memo.version != node.version:
+        memo = node._index = _IndexMemo(node)
+    probes = memo.probes
+    if probes is None:
+        probes = memo.probes = {}
     key = (p_marking, q_marking)
     by_value = probes.get(key)
     if by_value is None:
-        by_value = probes[key] = _build_probe(node, p_marking, q_marking)
+        by_value = probes[key] = _build_probe(
+            memo.buckets.get(p_marking, _EMPTY), q_marking)
     perf.stats.probe_lookups += 1
     return by_value.get(value, _EMPTY)
 
 
-def _build_probe(node: Node, p_marking: Marking,
+def _build_probe(candidates: Sequence[Node],
                  q_marking: Marking) -> Dict[Marking, List[Node]]:
     by_value: Dict[Marking, List[Node]] = {}
-    for child in node.children:
-        if child.marking != p_marking:
-            continue
+    for child in candidates:
         seen: set = set()
         for grand in child.children:
             if grand.marking != q_marking:
@@ -174,36 +166,22 @@ def _build_probe(node: Node, p_marking: Marking,
 
 # ----------------------------------------------------------------------
 # Document census: marking → node count over a whole tree, the planner's
-# selectivity estimate.  Cached against the root's version; a graft
-# anywhere bumps it, so the census follows growth without hooks.
+# selectivity estimate.  Kept in the root's index memo; a graft anywhere
+# bumps the root's version, so the census follows growth without hooks.
 # ----------------------------------------------------------------------
-
-_CENSUS: Dict[int, Tuple[int, Dict[Marking, int], int]] = {}
-_CENSUS_MAX = 10_000
-
-perf.register_cache(_CENSUS.clear)
 
 
 def marking_census(root: Node) -> Tuple[Dict[Marking, int], int]:
     """``(counts, total)``: occurrences per marking and the tree size."""
-    entry = _CENSUS.get(root.uid)
-    if entry is not None and entry[0] == root.version:
-        return entry[1], entry[2]
-    counts: Dict[Marking, int] = {}
-    total = 0
-    for node in root.iter_nodes():
-        total += 1
-        counts[node.marking] = counts.get(node.marking, 0) + 1
-    if len(_CENSUS) >= _CENSUS_MAX:
-        _CENSUS.clear()
-    _CENSUS[root.uid] = (root.version, counts, total)
-    return counts, total
-
-
-def index_sizes() -> Dict[str, int]:
-    """Live entry counts, for the CLI and the metrics registry."""
-    return {
-        "child_entries": len(_CHILD_INDEX),
-        "probe_entries": len(_PROBE_INDEX),
-        "census_entries": len(_CENSUS),
-    }
+    memo = root._index
+    if memo is None or memo.version != root.version:
+        memo = root._index = _IndexMemo(root)
+    census = memo.census
+    if census is None:
+        counts: Dict[Marking, int] = {}
+        total = 0
+        for node in root.iter_nodes():
+            total += 1
+            counts[node.marking] = counts.get(node.marking, 0) + 1
+        census = memo.census = (counts, total)
+    return census

@@ -219,12 +219,20 @@ class Node:
     Beyond the paper's ``(marking, children)`` data each node carries the
     incremental-engine bookkeeping: a ``parent`` pointer (makes locating a
     live call an O(depth) walk), a construction ``uid`` and a subtree
-    ``version`` stamp (see the module comment on version stamps), plus a
-    cached canonical key slot managed by :mod:`paxml.tree.reduction`.
+    ``version`` stamp (see the module comment on version stamps), plus
+    memo slots for data derived from the subtree, each valid only while
+    its recorded version equals ``version``: the canonical key
+    (:mod:`paxml.tree.reduction`), the child/probe/census index
+    (:mod:`paxml.tree.index`) and the packed marking bits
+    (:mod:`paxml.tree.store`).  A memo lives and dies with its node.
+    ``_bits`` and ``_bits_gen`` are written together with
+    ``_bits_version`` and read only once it matches, so only that one is
+    initialised.
     """
 
     __slots__ = ("marking", "children", "parent", "uid", "version",
-                 "_ckey", "_ckey_version")
+                 "_ckey", "_ckey_version", "_index",
+                 "_bits", "_bits_version", "_bits_gen")
 
     def __init__(self, marking: Union[Marking, str, int, float, bool],
                  children: Iterable["Node"] = ()):
@@ -242,6 +250,8 @@ class Node:
         self.uid = self.version = next_stamp()
         self._ckey: Optional[object] = None
         self._ckey_version = -1
+        self._index: Optional[object] = None
+        self._bits_version = -1
 
     # ------------------------------------------------------------------
     # classification
@@ -343,7 +353,8 @@ class Node:
         """Deep, structure-sharing-free copy of the subtree.
 
         A current cached canonical key travels with the copy (the copy is
-        structurally identical, hence has the same key).
+        structurally identical, hence has the same key).  The index memo
+        does not: its buckets hold this node's children, not the copy's.
         """
         duplicate = Node(self.marking, [child.copy() for child in self.children])
         if self._ckey is not None and self._ckey_version == self.version:

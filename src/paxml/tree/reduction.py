@@ -53,19 +53,18 @@ def antichain_insert(keep: List[Node], candidate: Node) -> bool:
         return True
     cbits = subtree_bits(candidate)
     # The loop below is the hottest code in the library (hundreds of
-    # thousands of pairs per benchmark scenario): the memo lookup is
-    # inlined — one dict probe and one compare — with the function call
-    # reserved for the re-derive path.  Calling ``subtree_bits`` for
-    # every pair made building perfbench's 2000-call portal (about 2M
-    # pairs) 9% slower on a 2-vCPU VM.
-    version_of = _store._VERSIONS.get
-    all_bits = _store._BITS
+    # thousands of pairs per benchmark scenario): the memo check is
+    # inlined — two slot compares — with the function call reserved for
+    # the re-derive path.  Calling ``subtree_bits`` for every pair made
+    # building perfbench's 2000-call portal (about 2M pairs) 9% slower
+    # on a 2-vCPU VM.
+    gen = _store._generation
     survivors: List[Node] = []
     evicted = False
     rejects = 0
     for other in keep:
-        if version_of(other.uid) == other.version:
-            obits = all_bits[other.uid]
+        if other._bits_version == other.version and other._bits_gen == gen:
+            obits = other._bits
         else:
             obits = subtree_bits(other)
         union = cbits | obits

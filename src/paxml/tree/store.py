@@ -7,31 +7,28 @@ process-wide id, the id doubles as a bit position, and each node's
 subtree is summarised by one int with bit ``1 << id`` set per marking
 occurring in it.  The subset test is then ``b1 & ~b2 == 0``.
 
-The memo is two plain ``uid → int`` dicts, ``_VERSIONS`` and ``_BITS``.
-An entry answers for a node iff its recorded version equals the node's
-current version: a node's ``(uid, version)`` fixes its subtree's marking
-set.  Structural appends bump versions to the root (``Node.touch``), so
-a stale entry is never read as current; equivalence-preserving pruning
-(reduction, antichain eviction) does not bump versions, and the marking
-set is invariant under document equivalence, so bits stay exact through
-pruning.  Reads check versions, not node identity: wire restores copy
-``(uid, version)`` together with the exact structure, so twins agree,
-and a replayed copy that overwrites a live entry only makes the live
-tree re-derive its bits at the next read.
+The memo lives on the node: ``_bits`` holds the packed set, stamped with
+the version it was derived at (``_bits_version``) and the intern
+generation (``_bits_gen``).  It answers iff both stamps are current.  A
+node's version fixes its subtree's marking set: structural appends bump
+versions to the root (``Node.touch``), so a stale memo is never read as
+current; equivalence-preserving pruning (reduction, antichain eviction)
+does not bump versions, and the marking set is invariant under document
+equivalence, so bits stay exact through pruning.  The generation stamp
+is there because :func:`clear_store` renumbers the bit positions.  A memo
+dies with its node; a copy (``Node.copy``, a wire restore, a replayed
+tree) starts without one and derives its bits at its first read.
 
 Maintenance is incremental along the engines' single mutation choke
 point: :func:`note_graft` (called by ``graft_under``) OR-merges the
-inserted bits up the root-to-parent path, for the entries that were
+inserted bits up the root-to-parent path, for the memos that were
 current before the graft's ``touch``.  Any other mutation heals at read
-time: a version mismatch re-walks the subtree, reusing every still-valid
-descendant entry (``store_rebuild_patches`` counts these walks).
+time: a stale memo re-walks the subtree, reusing every still-valid
+descendant memo (``store_rebuild_patches`` counts these walks).
 
-The entries are bounded crudely: past ``_ROWS_MAX`` they are dropped
-wholesale, checked only before a walk so no walk loses its own
-entries.  Overflow keeps the intern table — ids are bit positions held
-by live antichains and head-bits masks — and only :func:`clear_store`
-(registered with ``perf.clear_caches()``) resets the ids and bumps
-:func:`generation`.
+Only the intern table is process-wide: its ids are bit positions held
+by live antichains and head-bits masks.  :func:`clear_store` (registered
+with ``perf.clear_caches()``) resets it and bumps :func:`generation`.
 """
 
 from __future__ import annotations
@@ -44,15 +41,10 @@ from .node import Marking, Node
 # Marking interning: ids are monotone and process-wide until clear_store.
 _MARKING_IDS: Dict[Marking, int] = {}
 
-# uid → version the bits were derived at, and uid → packed bits.
-_VERSIONS: Dict[int, int] = {}
-_BITS: Dict[int, int] = {}
-
-_ROWS_MAX = 2_000_000
-
-# Bumped on every clear_store; lets callers that cache interned ids
-# (e.g. the evaluator's head-bits templates) notice their ids went stale.
-_GENERATION = [0]
+# Bumped on every clear_store: node memos stamped with an older
+# generation, and callers that cache interned ids (e.g. the evaluator's
+# head-bits templates), hold stale bit positions.
+_generation = 0
 
 
 def intern_marking(marking: Marking) -> int:
@@ -64,14 +56,14 @@ def intern_marking(marking: Marking) -> int:
 
 
 def generation() -> int:
-    return _GENERATION[0]
+    return _generation
 
 
 def clear_store() -> None:
-    """Drop every entry *and* the intern table (ids are bit positions)."""
-    _GENERATION[0] += 1
-    _VERSIONS.clear()
-    _BITS.clear()
+    """Drop the intern table and thereby every node memo (ids are bit
+    positions)."""
+    global _generation
+    _generation += 1
     _MARKING_IDS.clear()
 
 
@@ -79,74 +71,65 @@ perf.register_cache(clear_store)
 
 
 def store_sizes() -> Dict[str, int]:
-    """Live memo sizes, for the CLI, checkpoints and the metrics registry."""
-    return {"rows": len(_BITS), "interned_markings": len(_MARKING_IDS)}
+    """The intern table's size, for the CLI and checkpoint headers."""
+    return {"interned_markings": len(_MARKING_IDS)}
 
 
 def _walk(root: Node) -> int:
-    """(Re)derive the bits of ``root``'s subtree, reusing valid entries.
+    """(Re)derive the bits of ``root``'s subtree, reusing valid memos.
 
     Iterative post-order: a node's bits are written only after all its
-    children hold valid entries, and its version last.
+    children hold valid memos.
     """
     perf.stats.store_rebuild_patches += 1
-    if len(_BITS) >= _ROWS_MAX:
-        # Between walks only: the stack below reads back its own entries.
-        _VERSIONS.clear()
-        _BITS.clear()
-    versions = _VERSIONS
-    all_bits = _BITS
+    gen = _generation
     stack: List[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if not expanded:
-            if versions.get(node.uid) != node.version:
+            if node._bits_version != node.version or node._bits_gen != gen:
                 stack.append((node, True))
                 stack.extend((child, False) for child in node.children)
             continue
         bits = 1 << intern_marking(node.marking)
         for child in node.children:
-            bits |= all_bits[child.uid]
-        all_bits[node.uid] = bits
-        versions[node.uid] = node.version
-    return all_bits[root.uid]
+            bits |= child._bits
+        node._bits = bits
+        node._bits_gen = gen
+        node._bits_version = node.version
+    return root._bits
 
 
 def subtree_bits(node: Node) -> int:
     """The packed marking bitset of ``node``'s subtree."""
-    if _VERSIONS.get(node.uid) == node.version:
-        return _BITS[node.uid]
+    if node._bits_version == node.version and node._bits_gen == _generation:
+        return node._bits
     return _walk(node)
-
-
-def warm(root: Node) -> None:
-    """Derive the bits of every node under ``root`` (idempotent)."""
-    subtree_bits(root)
 
 
 def note_graft(path: List[Node], inserted: Sequence[Node],
                pre_versions: Sequence[int]) -> None:
-    """OR the bits of ``inserted`` into every entry along ``path`` after
+    """OR the bits of ``inserted`` into every memo along ``path`` after
     the graft path appended them under ``path[-1]`` and ``touch`` bumped
     the path's versions.
 
     ``pre_versions`` are the path nodes' versions captured *before* the
-    touch: an entry is patched only when it was current against the
+    touch: a memo is patched only when it was current against the
     pre-touch state (otherwise an earlier untracked mutation left it
     stale, and marking it current here would launder wrong bits — such
-    entries heal at the next read instead).  Siblings the insertion
+    memos heal at the next read instead).  Siblings the insertion
     evicted need nothing: their markings are contained in the graft's
     (that is what subsumption means), so the merged bits stay exact.
     """
     ins_bits = 0
     for tree in inserted:
         ins_bits |= subtree_bits(tree)
-    versions = _VERSIONS
+    gen = _generation
     patched = False
     for node, pre in zip(path, pre_versions):
-        if versions.get(node.uid) == pre:
-            _BITS[node.uid] |= ins_bits
-            versions[node.uid] = node.version
+        if node._bits_version == pre and node._bits_gen == gen:
+            node._bits |= ins_bits
+            node._bits_version = node.version
             patched = True
     if patched:
         perf.stats.store_graft_patches += 1

@@ -12,12 +12,17 @@ simulated by some child of ``n2``.  Memoised over node-identity pairs this
 runs in ``O(|T1| · |T2| · max_fanout)``.
 
 On top of the per-call memo sits a *persistent* process-level cache keyed on
-``((uid, version), (uid, version))`` pairs.  Uids are never reused and a
-node's version changes whenever its subtree's content does, so an entry can
-never go stale: re-invoking subsumption over grown documents pays only for
-the pairs whose subtrees actually changed.  (Reduction pruning replaces a
-tree by an equivalent one without bumping versions; subsumption is invariant
-under equivalence, so those entries stay correct too.)
+``((uid, version), (uid, version))`` pairs.  A ``(uid, version)`` pair fixes
+a subtree up to equivalence: a node's version changes whenever its
+subtree's content does, fresh nodes draw fresh uids, and the trees that
+reuse a uid — checkpoint resume and point-in-time replay restore nodes
+with their original stamps — are copies of the very subtree that pair
+named when the bundle came from this process's stamp clock.  So an entry
+can never go stale: re-invoking subsumption over grown documents pays only
+for the pairs whose subtrees actually changed.  (Reduction pruning
+replaces a tree by an equivalent one without bumping versions;
+subsumption is invariant under equivalence, so those entries stay correct
+too.)
 """
 
 from __future__ import annotations

@@ -1,46 +1,53 @@
-"""The subtree-bits memo and bitset antichain against their oracles.
+"""The node memos and bitset antichain against their oracles.
 
-The raw-speed layer (``paxml.tree.store``, ``paxml.tree.antichain`` and
-the evaluator's head templates) is pure acceleration: every memoised
-bitset must equal a direct recomputation from the object tree
-(:func:`oracle_bits`), and every antichain the same kept set as
-``antichain_insert``.  These tests drive the memo through hundreds of
-random graft sequences — clean, batch-wide, fault-injected, across a
-checkpoint/resume boundary and under a lowered entry ceiling — and
-check every node's bits against the oracle.
+The raw-speed layer (``paxml.tree.store``, ``paxml.tree.index``,
+``paxml.tree.antichain`` and the evaluator's head templates) is pure
+acceleration: every memoised bitset must equal a direct recomputation
+from the object tree (:func:`oracle_bits`), every index memo must agree
+with a fresh scan of the children (:func:`assert_index_consistent`), and
+every antichain must keep the same set as ``antichain_insert``.  These
+tests drive the memos through hundreds of random sequences of grafts,
+untracked appends, reduction pruning and cache clears — clean,
+batch-wide, fault-injected, across a checkpoint/resume boundary and
+beside replayed copies that reuse the live uids — and check every node
+against the oracles.  The memos live on the nodes, so a dropped tree
+must be collectable with everything derived from it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from paxml import perf
 from paxml.kernel import RunStatus, resume
+from paxml.kernel.checkpoint import replay_prefix
 from paxml.obs.metrics import REGISTRY
-from paxml.query.incremental import (
-    IncrementalQueryEvaluator,
-    _compile_head_bits,
-    _compile_head_key,
-)
-from paxml.query.matching import (
-    enumerate_assignments,
-    evaluate_snapshot,
-    naive_assignments,
-)
+from paxml.query.incremental import _compile_head_bits, _compile_head_key
+from paxml.query.matching import enumerate_assignments, evaluate_snapshot
 from paxml.query.parser import parse_query
 from paxml.query.pattern import instantiate
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
 from paxml.system import materialize
-from paxml.system.invocation import graft_trees
+from paxml.system.invocation import graft_trees, graft_under
 from paxml.system.rewriting import RewritingEngine
-from paxml.tree import canonical_key, is_subsumed, label, val
+from paxml.tree import (
+    canonical_key,
+    child_buckets,
+    is_subsumed,
+    label,
+    marking_census,
+    probe_bucket,
+    val,
+)
 from paxml.tree import store as tree_store
 from paxml.tree.antichain import BitsetAntichain
-from paxml.tree.node import Node
-from paxml.tree.reduction import antichain_insert, reduce_forest
+from paxml.tree.node import Label, Node
+from paxml.tree.reduction import antichain_insert, reduce_forest, reduce_in_place
 from paxml.workloads import (
     chain_edges,
     portal_system,
@@ -79,6 +86,71 @@ def assert_store_consistent(root: Node) -> None:
         assert tree_store.subtree_bits(node) == oracle_bits(node)
 
 
+def _ids(nodes) -> set:
+    return {id(node) for node in nodes}
+
+
+def _assert_covers(indexed, current, node: Node) -> None:
+    """``indexed`` holds every node of ``current``; any other member is a
+    child of ``node`` that pruning removed, subsumed by one of ``current``
+    (the index contract: pruned leftovers are sound, stale reads are not).
+    """
+    assert _ids(indexed) >= _ids(current)
+    live = _ids(current)
+    for extra in indexed:
+        if id(extra) not in live:
+            assert extra.parent is node
+            assert any(is_subsumed(extra, kept) for kept in current)
+
+
+def _probe_scan(children, p_marking, q_marking, value) -> list:
+    """The probe's candidate set by linear scan (the probe's oracle)."""
+    return [
+        child for child in children
+        if child.marking == p_marking and any(
+            grand.marking == q_marking and any(
+                leaf.marking == value for leaf in grand.children)
+            for grand in child.children)
+    ]
+
+
+def assert_index_consistent(node: Node) -> None:
+    """``node``'s child buckets and every value probe it can answer must
+    agree with a fresh scan of its current children."""
+    buckets = child_buckets(node)
+    current: dict = {}
+    for child in node.children:
+        current.setdefault(child.marking, []).append(child)
+    assert set(buckets) >= set(current)
+    for marking, bucket in buckets.items():
+        _assert_covers(bucket, current.get(marking, []), node)
+    probes = {(child.marking, grand.marking, leaf.marking)
+              for child in node.children for grand in child.children
+              for leaf in grand.children if leaf.is_value}
+    for p_marking, q_marking, value in probes:
+        _assert_covers(probe_bucket(node, p_marking, q_marking, value),
+                       _probe_scan(node.children, p_marking, q_marking,
+                                   value), node)
+
+
+def assert_census_consistent(root: Node) -> None:
+    """The root's census counts at least every current node, per marking
+    (pruning may leave it counting removed copies, never missing any)."""
+    counts, total = marking_census(root)
+    fresh = Counter(node.marking for node in root.iter_nodes())
+    assert set(counts) == set(fresh)
+    assert all(counts[marking] >= n for marking, n in fresh.items())
+    assert total >= sum(fresh.values())
+
+
+def assert_memos_consistent(root: Node) -> None:
+    """Bits, child buckets, probes and the census under ``root``."""
+    assert_store_consistent(root)
+    for node in root.iter_nodes():
+        assert_index_consistent(node)
+    assert_census_consistent(root)
+
+
 def path_to(root: Node, node: Node) -> list:
     path = []
     cursor = node
@@ -91,22 +163,24 @@ def path_to(root: Node, node: Node) -> list:
 
 
 # ----------------------------------------------------------------------
-# random graft sequences: memo vs oracle, warm vs cold memo
+# random graft sequences: memos vs oracles, warm vs cold memos
 # ----------------------------------------------------------------------
 
 
 def _run_graft_sequence(seed: int, warm: bool) -> Node:
-    """One deterministic random graft sequence; returns the final tree.
+    """One deterministic random sequence of grafts, untracked appends,
+    reduction passes and cache clears; returns the final tree.
 
-    ``warm`` keeps the memo across grafts and checks it after each one;
-    otherwise every graft starts from an empty memo (the reference).
+    ``warm`` keeps the memos across steps and checks every node against
+    the oracles after each one; otherwise every step starts from an
+    empty bits memo (the reference).
     """
-    tree_store.clear_store()
+    perf.clear_caches()
     rng = random.Random(seed)
     root = random_tree(18, seed)
     if warm:
-        tree_store.warm(root)
-    for step in range(6):
+        assert_memos_consistent(root)
+    for step in range(8):
         targets = [n for n in root.iter_nodes()
                    if n is not root and not n.is_value]
         if not targets:
@@ -114,19 +188,27 @@ def _run_graft_sequence(seed: int, warm: bool) -> Node:
         target = rng.choice(targets)
         forest = [random_tree(rng.randint(1, 6), seed * 977 + step * 13 + i)
                   for i in range(rng.randint(1, 3))]
+        op = rng.random()
         if not warm:
             tree_store.clear_store()
-        graft_trees(path_to(root, target), forest)
+        if op < 0.6:
+            graft_trees(path_to(root, target), forest)
+        elif op < 0.75:
+            target.add_child(forest[0])  # untracked: no note_graft
+        elif op < 0.9:
+            reduce_in_place(root)  # pruning: no version bump
+        else:
+            perf.clear_caches()
         if warm:
-            assert_store_consistent(root)
+            assert_memos_consistent(root)
     return root
 
 
 @pytest.mark.parametrize("block", range(5))
 def test_store_matches_object_tree_on_100_random_graft_sequences(block):
-    """≥100 random graft sequences: bits equal the oracle on every node
-    after every graft, and the tree grown with a warm memo is
-    structurally identical to the one grown from a cold memo."""
+    """≥100 random sequences: bits, buckets, probes and census agree with
+    the oracles on every node after every step, and the tree grown with
+    warm memos is structurally identical to the one grown cold."""
     for seed in range(block * 20, block * 20 + 20):
         warm = _run_graft_sequence(seed, warm=True)
         cold = _run_graft_sequence(seed, warm=False)
@@ -134,15 +216,19 @@ def test_store_matches_object_tree_on_100_random_graft_sequences(block):
 
 
 def test_untracked_mutations_heal_at_read_time():
-    """``add_child`` outside the graft path stales entries; the next read
-    must re-walk them (counted) instead of answering from stale bits."""
+    """``add_child`` outside the graft path stales memos; the next read
+    must re-derive them (counted) instead of answering stale data."""
     root = random_tree(12, 3)
-    tree_store.warm(root)
+    assert_memos_consistent(root)
     inner = next(n for n in root.iter_nodes() if not n.is_value)
-    inner.add_child(label("healed", val("fresh")))
+    inner.add_child(label("healed", label("c0", val("fresh"))))
     before = perf.stats.store_rebuild_patches
-    assert_store_consistent(root)
+    misses = perf.stats.index_misses
+    assert_memos_consistent(root)
     assert perf.stats.store_rebuild_patches > before
+    assert perf.stats.index_misses > misses
+    assert probe_bucket(inner, Label("healed"), Label("c0"),
+                        val("fresh").marking) == [inner.children[-1]]
 
 
 def test_batch_graft_on_wide_parent_matches_sequential():
@@ -163,7 +249,7 @@ def test_batch_graft_on_wide_parent_matches_sequential():
         tree_store.clear_store()
         root = label("doc", build())
         wide = root.children[0]
-        tree_store.warm(root)
+        assert_memos_consistent(root)
         for batch in grafts:
             # One tree per call never takes the batch path.
             calls = [batch] if batched else [[t] for t in batch]
@@ -174,7 +260,7 @@ def test_batch_graft_on_wide_parent_matches_sequential():
             assert len(inserted) >= 1
         for child in wide.children:
             assert child.parent is wide
-        assert_store_consistent(root)
+        assert_memos_consistent(root)
         results[batched] = canonical_key(root)
     assert results[True] == results[False]
 
@@ -207,63 +293,108 @@ def test_fault_injected_run_keeps_store_consistent(seed):
     assert result.status is RuntimeStatus.TERMINATED
     assert _doc_keys(subject) == expected
     for doc in subject.documents.values():
-        assert_store_consistent(doc.root)
+        assert_memos_consistent(doc.root)
 
 
 # ----------------------------------------------------------------------
-# the entry ceiling: overflow between walks, interned ids kept
+# memos live and die with their nodes
 # ----------------------------------------------------------------------
 
-_CEILING_QUERY = ("p{c0{$x}, c1{$y}} :- "
-                  "d/r{t{c0{$x}, c1{$z}}, t{c0{$z}, c1{$y}}}")
+
+def _fixpoint_uids() -> set:
+    """Run a system to its fixpoint, derive every memo on its documents,
+    and return their uids; the system is dropped on return."""
+    system = tc_system(random_edges(6, 12, seed=4))
+    assert materialize(system).terminated
+    uids = set()
+    for document in system.documents.values():
+        marking_census(document.root)
+        for node in document.root.iter_nodes():
+            uids.add(node.uid)
+            tree_store.subtree_bits(node)
+            child_buckets(node)
+            for child in node.children:
+                for grand in child.children:
+                    for leaf in grand.children:
+                        if leaf.is_value:
+                            probe_bucket(node, child.marking, grand.marking,
+                                         leaf.marking)
+    return uids
 
 
-def test_memo_ceiling_overflows_only_between_walks(monkeypatch):
-    """A ceiling far below one tree's size must not lose a walk's own
-    entries, nor reset the interned ids live antichains hold."""
-    probe = label("probe-marking")
-    first_id = tree_store.intern_marking(probe.marking)
-    generation = tree_store.generation()
-    reference = tc_system(random_edges(5, 9, seed=4))
+def test_a_dropped_tree_is_collectable():
+    """No process-global memo may keep a dropped tree's nodes alive."""
+    uids = _fixpoint_uids()
+    assert len(uids) > 100
+    gc.collect()
+    alive = [obj for obj in gc.get_objects()
+             if isinstance(obj, Node) and obj.uid in uids]
+    assert len(alive) == 0, f"{len(alive)} of {len(uids)} nodes alive"
+
+
+def test_bits_derived_before_clear_store_are_not_read():
+    """``clear_store()`` renumbers the bit positions.  Bits a node derived
+    under the old numbering must be re-derived — by ``subtree_bits`` and
+    by ``antichain_insert``'s inlined memo check alike — or equivalent
+    trees would look incomparable."""
+    kept = label("gen-x", label("gen-y"))
+    old = tree_store.subtree_bits(kept)
+    tree_store.clear_store()
+    tree_store.intern_marking(Label("gen-other"))  # shift every id by one
+    assert tree_store.subtree_bits(kept) != old
+    assert tree_store.subtree_bits(kept) == oracle_bits(kept)
+
+    keep = [label("gen-x", label("gen-y"))]
+    tree_store.subtree_bits(keep[0])
+    tree_store.clear_store()
+    tree_store.intern_marking(Label("gen-other"))
+    assert not antichain_insert(keep, label("gen-x", label("gen-y")))
+    assert len(keep) == 1
+    assert tree_store.subtree_bits(keep[0]) == oracle_bits(keep[0])
+
+
+def test_replayed_copies_keep_their_own_memos():
+    """Point-in-time replay rebuilds copies that reuse the live uids and
+    versions.  Interleaved with live grafts, and with grafts into the
+    copies, every memo of either tree must stay its own and exact."""
+    def build():
+        return portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
+                             seed=3)
+
+    reference = build()
     assert materialize(reference).terminated
     expected = _doc_keys(reference)
 
-    monkeypatch.setattr(tree_store, "_ROWS_MAX", 4)
-    chain = label("a", label("b", label("c", label("d", label("e", label(
-        "f", val(1)))))))
-    flat = label("r", *[label(f"k{i}") for i in range(6)])
-    trees = [chain, flat] + [random_tree(7 + seed, seed) for seed in range(20)]
-    for tree in trees:
-        assert_store_consistent(tree)
-
-    # A whole run to fixpoint overflowing all the time.
-    system = tc_system(random_edges(5, 9, seed=4))
-    assert materialize(system).terminated
+    perf.clear_caches()
+    system = build()
+    engine = RewritingEngine(system)
+    kernel = engine.kernel
+    live_uids: set = set()
+    shared = 0
+    budget = 0
+    while True:
+        budget += 2
+        result = engine.run(max_steps=budget)
+        records = list(kernel.log)
+        for count in (len(records) // 2, len(records)):
+            replayed = replay_prefix(kernel._seed_wire, records[:count])
+            for document in replayed.values():
+                assert_memos_consistent(document.root)
+                copy = document.root
+                shared += len(live_uids & {n.uid for n in copy.iter_nodes()})
+                graft_under([copy], [label("replayed", val(count))])
+                assert_memos_consistent(copy)
+        for document in system.documents.values():
+            assert_memos_consistent(document.root)
+            live_uids.update(n.uid for n in document.root.iter_nodes())
+        if result.status is RunStatus.TERMINATED:
+            break
+    assert shared > 0
     assert _doc_keys(system) == expected
-
-    # An incremental evaluator whose site antichain outlives overflows.
-    query = parse_query(_CEILING_QUERY)
-    root = relation_tree(random_edges(5, 10, seed=2))
-    evaluator = IncrementalQueryEvaluator(query)
-    delivered = list(evaluator.evaluate_delta({"d": root}, site=1))
-    for a, b in ((0, 4), (4, 1), (2, 0), (3, 3)):
-        root.add_child(label("t", label("c0", val(a)), label("c1", val(b))))
-        delivered.extend(evaluator.evaluate_delta({"d": root}, site=1))
-    naive = reduce_forest([instantiate(query.head, binding)
-                           for binding in naive_assignments(query,
-                                                            {"d": root})])
-    assert naive
-    assert _keys(reduce_forest(delivered)) == _keys(naive)
-    kept = list(evaluator._sites[1].results)
-    assert _keys(kept) == _keys(naive)
-
-    assert tree_store.store_sizes()["rows"] < 4 + root.size()
-    assert tree_store.intern_marking(probe.marking) == first_id
-    assert tree_store.generation() == generation
 
 
 # ----------------------------------------------------------------------
-# checkpoint → resume: the memo is derived data
+# checkpoint → resume: the memos are derived data
 # ----------------------------------------------------------------------
 
 
@@ -271,9 +402,10 @@ def test_memo_ceiling_overflows_only_between_walks(monkeypatch):
                          ids=["cleared", "stale-entries"])
 def test_checkpoint_resume_after_clear_caches(tmp_path, cleared):
     """A bundle resumes to the uninterrupted run's fixpoint whether the
-    memo starts empty (``perf.clear_caches()``: fresh intern ids too) or
-    still holds the checkpointing run's entries, which answer for the
-    restored copies because they share ``(uid, version)``."""
+    intern table starts empty (``perf.clear_caches()``: fresh ids, a new
+    generation) or still holds the checkpointing run's ids.  Either way
+    the restored copies derive their own memos when first read: nothing
+    the checkpointing run's nodes derived is shared with them."""
     reference = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
                               seed=3)
     assert materialize(reference).terminated
@@ -287,13 +419,14 @@ def test_checkpoint_resume_after_clear_caches(tmp_path, cleared):
     assert partial.status is RunStatus.BUDGET_EXHAUSTED
     bundle = str(tmp_path / "resume.jsonl")
     engine.checkpoint(bundle)
-    # The header's store field is a diagnostic; bundles from before the
-    # memo lost its child lists carry more keys and must still load.
+    # The header's store field is a diagnostic; older bundles carry more
+    # keys (``rows`` from the uid-keyed bits memo, and before it
+    # ``child_pool`` and ``overflow_rows``) and must still load.
     with open(bundle) as handle:
         lines = handle.read().splitlines()
     header = json.loads(lines[0])
-    assert set(header["store"]) == {"rows", "interned_markings"}
-    header["store"].update(child_pool=0, overflow_rows=0)
+    assert set(header["store"]) == {"interned_markings"}
+    header["store"].update(rows=0, child_pool=0, overflow_rows=0)
     lines[0] = json.dumps(header)
     with open(bundle, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -301,14 +434,13 @@ def test_checkpoint_resume_after_clear_caches(tmp_path, cleared):
     if cleared:
         perf.clear_caches()
     resumed = resume(bundle)
-    # resume() re-derives the memo from the restored documents
     for doc in resumed.system.documents.values():
-        assert_store_consistent(doc.root)
+        assert_memos_consistent(doc.root)
     result = resumed.run()
     assert result.status is RunStatus.TERMINATED
     assert _doc_keys(resumed.system) == expected
     for doc in resumed.system.documents.values():
-        assert_store_consistent(doc.root)
+        assert_memos_consistent(doc.root)
 
 
 # ----------------------------------------------------------------------
