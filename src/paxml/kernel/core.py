@@ -5,18 +5,22 @@ engine and the concurrent async runtime used to duplicate:
 
 * the two-queue fair :class:`~paxml.kernel.scheduler.CallScheduler`;
 * the run counters — completed invocations (``steps``), productive
-  grafts (``productive``, which doubles as the async runtime's staleness
-  *generation*: a no-op verdict computed at generation g is only
-  evidence for termination while ``productive == g``), and the
-  per-service invocation tally;
+  grafts (``productive``) and the per-service invocation tally;
+* :meth:`read_stamp`, the staleness test of no-op verdicts: a verdict
+  computed when a call's read stamp was s is evidence for termination
+  only while the stamp is still s (see :mod:`paxml.kernel.scheduler`).
+  The stamp covers exactly what the call reads, so a graft into one
+  document leaves the verdicts of calls that do not read it standing.
+  A kernel without a system falls back to ``productive``, which every
+  productive graft moves;
 * :meth:`apply_graft`, the single choke point through which every
   document mutation of a run flows.  It grafts the delivered forests
   (optionally deduplicating per-site by canonical key, the async
   at-least-once path), emits the ``graft_applied`` event, appends the
-  transactional :class:`~paxml.kernel.graft.GraftRecord`, voids the
-  scheduler's no-op verdicts and schedules freshly grafted calls — so
-  event emission, graft logging and index maintenance can never drift
-  apart between engines;
+  transactional :class:`~paxml.kernel.graft.GraftRecord`, wakes the
+  no-op verdicts the graft can void and schedules freshly grafted
+  calls — so event emission, graft logging and index maintenance can
+  never drift apart between engines;
 * :meth:`checkpoint` — snapshot the whole mid-run state (documents,
   scheduler frontier, graft-log tail, incremental per-site cutoffs) to a
   JSONL bundle that :func:`paxml.kernel.checkpoint.resume` can
@@ -47,7 +51,7 @@ from ..tree.node import Node, current_stamp
 from ..tree.reduction import canonical_key
 from ..tree.serializer import to_wire
 from .graft import GraftLog, GraftRecord, encode_batch
-from .scheduler import CallScheduler, Site
+from .scheduler import CallScheduler, ReadSets, Site
 
 BUNDLE_FORMAT = 2
 
@@ -93,6 +97,7 @@ class EvaluationKernel:
         self.documents: Dict[str, Document] = {}
         if system is not None:
             self.documents = system.documents
+            self.scheduler.read_sets = ReadSets(system)
             if sites is None:
                 sites = list(system.call_sites())
         elif sites is not None:
@@ -264,7 +269,7 @@ class EvaluationKernel:
 
         Callers guarantee the completed verdict reflects the *current*
         state (the sequential engine trivially; the async runtime only
-        calls this for generation-fresh outcomes).
+        calls this for outcomes whose read stamp has not moved).
         """
         if not self.fire_once:
             return False
@@ -281,10 +286,11 @@ class EvaluationKernel:
     # counters
     # ------------------------------------------------------------------
 
-    @property
-    def generation(self) -> int:
-        """The staleness generation: bumped by every productive graft."""
-        return self.productive
+    def read_stamp(self, node: Node) -> int:
+        """The call's read stamp: it moves when something the call reads
+        grows (``productive`` when the kernel has no system)."""
+        reads = self.scheduler.read_sets
+        return self.productive if reads is None else reads.stamp(node)
 
     def note_invocation(self, service: str) -> None:
         """Count one completed invocation (any verdict) of ``service``."""
@@ -309,8 +315,9 @@ class EvaluationKernel:
         Grafts every delivered forest at the call site (``path`` is the
         root-to-call path), then — iff anything was inserted — performs
         the whole productive-step transaction: counter bump, event
-        emission, graft-log append, no-op-verdict promotion and
-        scheduling of freshly grafted calls.  Returns the inserted trees.
+        emission, graft-log append, waking the no-op verdicts of calls
+        that read what grew, and scheduling of freshly grafted calls.
+        Returns the inserted trees.
 
         ``deliveries`` may hold several forests (duplicate deliveries of
         an at-least-once transport); with ``dedup_delivered`` answer
@@ -360,7 +367,7 @@ class EvaluationKernel:
                 step=self.steps - 1, document=document.name, service=service,
                 site=node.uid, trees=[to_wire(t) for t in inserted_all],
                 obs=obs_records, trace=trace_wire))
-        self.scheduler.promote_tried()
+        self.scheduler.wake_tried(document.name)
         self.scheduler.enqueue_trees(document, inserted_all)
         self._notify_graft(document, node, inserted_all)
         return inserted_all
@@ -374,7 +381,8 @@ class EvaluationKernel:
         same productive-step transaction as :meth:`apply_graft` — counter
         bump, event emission, graft-log append (under the
         :data:`EXTERNAL_SERVICE` pseudo-service with the *parent* uid as
-        the site), no-op-verdict promotion, scheduling of grafted calls,
+        the site), waking the no-op verdicts of calls that read what grew,
+        scheduling of grafted calls,
         hook notification — so external updates replay, checkpoint and
         fan out exactly like engine grafts.  Trees are copied before
         grafting; returns the copies actually inserted.
@@ -404,7 +412,7 @@ class EvaluationKernel:
                 service=EXTERNAL_SERVICE, site=parent.uid,
                 trees=[to_wire(t) for t in inserted], obs=obs_records,
                 trace=trace_wire))
-        self.scheduler.promote_tried()
+        self.scheduler.wake_tried(document.name)
         self.scheduler.enqueue_trees(document, inserted)
         if self.fire_once:
             # Outside data invalidates every retirement proof: a retired

@@ -8,19 +8,36 @@ folded in behind capabilities that the sequential engine simply never
 uses.
 
 Invariant (the termination certificate of both engines): ``_tried`` holds
-exactly the live calls proven to be no-ops since the last productive
-graft.  A run terminates when ``_fresh`` is empty and nothing is in
-flight or parked — every live call is then a proven no-op on the current
-state, so no fair continuation can add data (Theorem 2.1 makes the limit
-order-independent, which is also what lets a checkpointed frontier be
-resumed by *either* engine).
+exactly the live calls proven to be no-ops since the last growth of
+anything they read.  A run terminates when ``_fresh`` is empty and
+nothing is in flight or parked — every live call is then a proven no-op
+on the current state, so no fair continuation can add data (Theorem 2.1
+makes the limit order-independent, which is also what lets a
+checkpointed frontier be resumed by *either* engine).
+
+What a call reads is Definition 3.2's read set: the documents its service
+reads (``Service.reads_documents()``), plus its own parameters if it
+reads ``input`` and its parent's subtree if it reads ``context``.
+:class:`ReadSets` folds the versions of those trees into one *read
+stamp*.  ``Node.touch`` gives every ancestor of a grown node a fresh
+global stamp and reduction never touches, so the stamp moves exactly
+when something the call reads grows, and by monotonicity (Proposition
+3.1) a no-op verdict holds until then.  A tried site keeps the stamp its
+verdict was proven on and sits in one bucket per document it can be fed
+through: the documents it reads, and the document it lives in when it
+reads ``input`` or ``context``.  A productive graft into document ``D``
+(:meth:`CallScheduler.wake_tried`) re-checks only ``D``'s bucket and
+wakes the entries whose stamp moved; every other verdict stands.  A
+scheduler without read sets (a kernel over a peer federation, whose
+document names are per peer) and shard replica application wake every
+tried site instead (:meth:`CallScheduler.promote_tried`).
 
 Scheduling is O(1) amortised: a step pops from ``_fresh`` in O(1), the
-termination test is ``not _fresh``, and a productive step promotes
-``_tried`` back wholesale — each entry moves at most once per productive
-step.  ``promote_front`` controls whether promoted entries re-enter ahead
-of the untried remainder (the sequential engine's historical order) or
-behind it (the async runtime's); both orders are fair.
+termination test is ``not _fresh``, and a productive step scans one
+bucket — each entry is woken at most once per productive step.
+``promote_front`` controls whether woken entries re-enter ahead of the
+untried remainder (the sequential engine's historical order) or behind
+it (the async runtime's); both orders are fair.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from typing import (Callable, Container, Deque, Dict, Iterable, List,
 from .. import perf
 from ..obs import bus as obs_bus
 from ..obs import events as obs_events
-from ..tree.document import Document
+from ..tree.document import CONTEXT, INPUT, Document
 from ..tree.node import Node
 
 Site = Tuple[Document, Node]
@@ -41,6 +58,63 @@ Site = Tuple[Document, Node]
 SchedulerPolicy = str  # "round_robin" | "random" | "lifo"
 
 POLICIES = ("round_robin", "random", "lifo")
+
+# A tried entry: the site, the read stamp its no-op verdict was proven
+# on, and the buckets (document names) it is filed under.
+_TriedEntry = Tuple[Site, int, Tuple[str, ...]]
+
+
+class ReadSets:
+    """What each call of a system reads, and its read stamp.
+
+    Built by the kernel from its system.  Per service name it keeps the
+    documents the service reads and whether it reads ``input`` and
+    ``context``; a call whose service is not (or no longer) declared is
+    taken to read everything.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        # service name -> (service, documents read, their names,
+        #                  reads input, reads context)
+        self._plans: Dict[str, Tuple[object, Tuple[Document, ...],
+                                     Tuple[str, ...], bool, bool]] = {}
+
+    def _plan(self, node: Node) -> Tuple[object, Tuple[Document, ...],
+                                          Tuple[str, ...], bool, bool]:
+        name = node.marking.name  # type: ignore[union-attr]
+        service = self.system.services.get(name)
+        plan = self._plans.get(name)
+        if plan is None or plan[0] is not service:
+            reads = (service.reads_documents() if service is not None
+                     else set(self.system.documents) | {INPUT, CONTEXT})
+            documents = tuple(document for doc_name, document
+                              in self.system.documents.items()
+                              if doc_name in reads)
+            plan = (service, documents, tuple(d.name for d in documents),
+                    INPUT in reads, CONTEXT in reads)
+            self._plans[name] = plan
+        return plan
+
+    def stamp(self, node: Node) -> int:
+        """The largest version among the trees the call at ``node`` reads."""
+        _, documents, _, reads_input, reads_context = self._plan(node)
+        stamp = node.version if reads_input else -1
+        if reads_context and node.parent is not None \
+                and node.parent.version > stamp:
+            stamp = node.parent.version
+        for document in documents:
+            if document.root.version > stamp:
+                stamp = document.root.version
+        return stamp
+
+    def buckets(self, site: Site) -> Tuple[str, ...]:
+        """The documents whose grafts can move the site's stamp."""
+        document, node = site
+        _, _, names, reads_input, reads_context = self._plan(node)
+        if (reads_input or reads_context) and document.name not in names:
+            return names + (document.name,)
+        return names
 
 
 class CallScheduler:
@@ -61,7 +135,10 @@ class CallScheduler:
       q-stability, not full termination;
     * ``retire(site)`` — the fire-once policy's terminal state: a retired
       site is never re-enqueued (but :meth:`unretire_all` can revive the
-      whole set when external data arrives).
+      whole set when external data arrives);
+    * ``read_sets`` — installed by a kernel that owns a system: tried
+      sites then carry read stamps and :meth:`wake_tried` wakes only
+      those a graft can feed.
     """
 
     def __init__(self, policy: SchedulerPolicy = "round_robin",
@@ -79,7 +156,15 @@ class CallScheduler:
         self.promote_front = promote_front
         self.attempts = 0
         self._fresh: Deque[Site] = deque()
-        self._tried: Deque[Site] = deque()
+        # Proven no-ops by uid, in the order they were tried, and the same
+        # uids bucketed by the documents whose grafts can feed them.
+        self._tried: Dict[int, _TriedEntry] = {}
+        self._readers: Dict[str, Dict[int, None]] = {}
+        # Installed by a kernel that owns a system; without it every
+        # productive graft wakes every tried site.
+        self.read_sets: Optional[ReadSets] = None
+        self.tried_woken = 0
+        self.tried_kept = 0
         self._parked: List[Tuple[float, Site]] = []
         self._enqueued: Set[int] = set()
         # -- lazy scheduling (PR 10) --
@@ -139,7 +224,24 @@ class CallScheduler:
         """Record a proven no-op verdict for the current state."""
         if self._divert(site):
             return
-        self._tried.append(site)
+        self._add_tried(site)
+
+    def _add_tried(self, site: Site) -> None:
+        uid = site[1].uid
+        reads = self.read_sets
+        if reads is None:
+            self._tried[uid] = (site, 0, ())
+            return
+        buckets = reads.buckets(site)
+        self._tried[uid] = (site, reads.stamp(site[1]), buckets)
+        for name in buckets:
+            self._readers.setdefault(name, {})[uid] = None
+
+    def _drop_tried(self, uid: int) -> Site:
+        site, _, buckets = self._tried.pop(uid)
+        for name in buckets:
+            del self._readers[name][uid]
+        return site
 
     def _divert(self, site: Site) -> bool:
         """Route a returning site to retired/dormant instead of a queue."""
@@ -151,17 +253,49 @@ class CallScheduler:
             return True
         return False
 
-    def promote_tried(self) -> None:
-        """After a productive step every no-op verdict is void again."""
-        if not self._tried:
-            return
+    def wake_tried(self, name: str) -> int:
+        """After a productive graft into document ``name``, wake the tried
+        sites whose read stamp moved; returns how many woke.
+
+        Only that document's bucket can hold such sites (module
+        docstring).  Without read sets every tried site wakes
+        (:meth:`promote_tried`).
+        """
+        reads = self.read_sets
+        if reads is None:
+            return self.promote_tried()
+        bucket = self._readers.get(name)
+        woken: List[Site] = []
+        if bucket:
+            tried = self._tried
+            moved = [uid for uid in bucket
+                     if reads.stamp(tried[uid][0][1]) != tried[uid][1]]
+            woken = [self._drop_tried(uid) for uid in moved]
+            self._refill(woken)
+        self._count_wake(len(woken))
+        return len(woken)
+
+    def promote_tried(self) -> int:
+        """Void every no-op verdict (the conservative wake); returns count."""
+        woken = [entry[0] for entry in self._tried.values()]
+        self._tried.clear()
+        self._readers.clear()
+        self._refill(woken)
+        self._count_wake(len(woken))
+        return len(woken)
+
+    def _refill(self, woken: List[Site]) -> None:
         if self.promote_front:
-            self._tried.extend(self._fresh)
-            self._fresh = self._tried
-            self._tried = deque()
+            self._fresh.extendleft(reversed(woken))
         else:
-            self._fresh.extend(self._tried)
-            self._tried.clear()
+            self._fresh.extend(woken)
+
+    def _count_wake(self, woken: int) -> None:
+        kept = len(self._tried)
+        self.tried_woken += woken
+        self.tried_kept += kept
+        perf.stats.tried_woken += woken
+        perf.stats.tried_kept += kept
 
     def forget(self, node: Node) -> None:
         """Drop a stale/failed call from the enqueued set for good."""
@@ -234,7 +368,7 @@ class CallScheduler:
         """Wake every dormant site whose uid is in ``uids``; returns count.
 
         Called when a graft (or a reseed) made sites weakly relevant
-        again — the lazy counterpart of :meth:`promote_tried`.
+        again — the lazy counterpart of :meth:`wake_tried`.
         """
         ready = [uid for uid in self._dormant if uid in uids]
         for uid in ready:
@@ -266,16 +400,18 @@ class CallScheduler:
         if self.relevance is None:
             return 0
         moved = 0
-        for attr in ("_fresh", "_tried"):
-            queue = getattr(self, attr)
-            keep: Deque[Site] = deque()
-            for site in queue:
-                if self.relevance(site[1]):
-                    keep.append(site)
-                else:
-                    self._dormant[site[1].uid] = site
-                    moved += 1
-            setattr(self, attr, keep)
+        keep: Deque[Site] = deque()
+        for site in self._fresh:
+            if self.relevance(site[1]):
+                keep.append(site)
+            else:
+                self._dormant[site[1].uid] = site
+                moved += 1
+        self._fresh = keep
+        for uid in [uid for uid, entry in self._tried.items()
+                    if not self.relevance(entry[0][1])]:
+            self._dormant[uid] = self._drop_tried(uid)
+            moved += 1
         still_parked = []
         for ready_at, site in self._parked:
             if self.relevance(site[1]):
@@ -390,7 +526,8 @@ class CallScheduler:
             "attempts": self.attempts,
             "suppressed": sorted(self.suppressed_uids),
             "fresh": fresh,
-            "tried": [[d.name, n.uid] for d, n in self._tried],
+            "tried": [[d.name, n.uid]
+                      for (d, n), _, _ in self._tried.values()],
         }
         if self._dormant:
             frontier["dormant"] = [[d.name, n.uid]
@@ -408,6 +545,8 @@ class CallScheduler:
         live ``(document, node)`` pair, or ``None`` when the node no
         longer exists (e.g. pruned by a replay divergence) — such entries
         are dropped, which is sound because a vanished call is subsumed.
+        Tried sites take their read stamp here: the restored documents are
+        the state their verdicts were proven on.
         """
         self.attempts = int(frontier.get("attempts", 0))
         self.suppressed_uids = set(frontier.get("suppressed", ()))
@@ -419,7 +558,7 @@ class CallScheduler:
                 self._retired[site[1].uid] = site
                 self._enqueued.add(site[1].uid)
         for bucket, append in (("fresh", self._fresh.append),
-                               ("tried", self._tried.append),
+                               ("tried", self._add_tried),
                                ("dormant",
                                 lambda s: self._dormant.__setitem__(
                                     s[1].uid, s))):

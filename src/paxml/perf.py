@@ -187,6 +187,11 @@ class Stats:
     calls_skipped_unneeded: int = 0
     dormant_promotions: int = 0
     fire_once_retired: int = 0
+    # Per-graft wake accounting (paxml.kernel.scheduler): proven no-ops a
+    # productive graft woke because something they read grew, and those
+    # it left asleep.
+    tried_woken: int = 0
+    tried_kept: int = 0
 
     def reset(self) -> None:
         for f in fields(self):

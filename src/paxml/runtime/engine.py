@@ -18,14 +18,18 @@ Soundness is arranged by construction rather than by locking:
   document state is still an answer against the newer state, so a late
   response grafts soundly no matter how much landed meanwhile; grafting
   dedupes by a per-site canonical-key set and by antichain insertion.
-* **generation-stamped no-op verdicts** — "this call added nothing" is
-  only evidence for termination if nothing changed since the call read
-  its snapshot.  Every productive graft bumps the kernel's generation;
-  a no-op completing with a stale generation goes back in the queue
-  instead of the proven-no-op pool.  The run terminates exactly when
-  every live call is a proven no-op *at the current generation* and
-  nothing is in flight — the same certificate the sequential engine's
-  two-queue scheduler produces.
+* **read-stamped no-op verdicts** — "this call added nothing" is only
+  evidence for termination if nothing the call reads changed since it
+  read its snapshot.  An invocation records the call's read stamp
+  (:meth:`~paxml.kernel.EvaluationKernel.read_stamp`: the versions of
+  the documents its service reads, plus its parameters for ``input``
+  and its parent for ``context``) before it evaluates; a no-op whose
+  stamp moved meanwhile goes back in the queue instead of the
+  proven-no-op pool, while a graft into a document the call does not
+  read leaves its verdict standing.  The run terminates exactly when
+  every live call is a proven no-op *on the current state of what it
+  reads* and nothing is in flight — the same certificate the
+  sequential engine's two-queue scheduler produces.
 
 Failures degrade gracefully: a call that exhausts its retry budget is
 recorded in ``RunResult.failures`` (never silently dropped) and the
@@ -93,7 +97,7 @@ class _Outcome:
 
     document: Document
     node: Node
-    generation: int = -1
+    read_stamp: int = -1
     deliveries: List[Forest] = field(default_factory=list)
     attempts: int = 0
     error: Optional[BaseException] = None
@@ -423,7 +427,7 @@ class AsyncRuntime:
                 path = call_path(document, node)
             except StaleCallError:
                 return _Outcome(document, node, stale=True)
-            generation = self.kernel.generation
+            read_stamp = self.kernel.read_stamp(node)
             request = CallRequest(
                 service=service,
                 site=site,
@@ -516,7 +520,7 @@ class AsyncRuntime:
                     ctx, f"invoke:!{service}", span_start,
                     time.perf_counter(), site=site, attempts=attempts,
                     answers=len(forest))
-            return _Outcome(document, node, generation=generation,
+            return _Outcome(document, node, read_stamp=read_stamp,
                             deliveries=deliveries, attempts=attempts,
                             trace=ctx)
 
@@ -589,7 +593,7 @@ class AsyncRuntime:
             self.metrics.stale_calls += 1
             self._forget(out.node)
             return
-        pre_generation = kernel.generation
+        fresh = out.read_stamp == kernel.read_stamp(out.node)
         if out.trace is not None:
             # Re-activate the invocation's span around the graft so the
             # kernel stamps the record (and the freshly grafted call
@@ -605,20 +609,20 @@ class AsyncRuntime:
             inserted = kernel.apply_graft(out.document, out.node, path,
                                           out.deliveries,
                                           metrics=self.metrics)
-        if (out.generation == pre_generation
-                and kernel.maybe_retire(out.document, out.node)):
+        if fresh and kernel.maybe_retire(out.document, out.node):
             # Fire-once: the outcome reflects the pre-apply state (nothing
-            # landed since its snapshot), the site's feeders are quiesced
-            # and its service is provably single-shot — it is complete.
+            # it reads grew since its snapshot), the site's feeders are
+            # quiesced and its service is provably single-shot — it is
+            # complete.
             return
         if inserted:
             scheduler.requeue((out.document, out.node))
-        elif out.generation == kernel.generation:
+        elif fresh:
             # Proven no-op on the current state: counts toward termination.
             scheduler.mark_tried((out.document, out.node))
         else:
-            # The verdict is stale — something landed since this call read
-            # its snapshot; it must be re-examined (fairness).
+            # The verdict is stale — something this call reads grew since
+            # it read its snapshot; it must be re-examined (fairness).
             scheduler.requeue((out.document, out.node))
 
     def _forget(self, node: Node) -> None:

@@ -806,6 +806,7 @@ class _Connection:
                          "steps": 0, "productive": 0, "attempts": 0,
                          "subscribers": 0, "pending": 0, "replication_lag": 0,
                          "queues": {"fresh": 0, "parked": 0, "tried": 0},
+                         "scheduler": {"tried_woken": 0, "tried_kept": 0},
                          "open_breakers": [], "stalled": None})
         return rows
 

@@ -332,6 +332,12 @@ class TenantSession:
                 "fresh": scheduler.fresh_count(),
                 "parked": scheduler.parked_count(),
                 "tried": scheduler.tried_count()},
+            # Proven no-ops woken by a graft that fed them, and those left
+            # asleep, summed over grafts since the tenant last resumed.
+            "scheduler": {"tried_woken": 0, "tried_kept": 0}
+            if scheduler is None else {
+                "tried_woken": scheduler.tried_woken,
+                "tried_kept": scheduler.tried_kept},
             "lazy": None if not self.lazy else {
                 "queries": 0 if self.suspended else (
                     0 if self.kernel.relevance_tracker is None

@@ -21,8 +21,10 @@ details keep the incremental machinery sound across the boundary:
   cutoff ⇒ no node created after the cutoff" is per-process, and an
   owner-side version could land below a local cutoff and hide the graft
   from incremental evaluation forever;
-* the kernel's ``productive`` generation is bumped, voiding any no-op
-  verdict computed against the pre-apply state;
+* the kernel's ``productive`` counter is bumped and every proven no-op
+  is woken, voiding any verdict computed against the pre-apply state
+  (replica application does not narrow the wake to the calls that read
+  the grafted document; see :mod:`paxml.kernel.scheduler`);
 * the record is appended to the local log under its originating shard
   tag, so replay-validation (:class:`~paxml.kernel.checkpoint.
   ReplayDivergence`) covers the replicated grafts exactly like local
@@ -332,9 +334,9 @@ class ShardWorker:
         self.kernel.log.append(record)
         perf.stats.shard_records_applied += 1
         if inserted:
-            # Replica state changed: stale every outstanding no-op verdict
-            # and re-verify proven no-ops — but do NOT schedule the new
-            # call sites; their document's owner drives them.
+            # Replica state changed: wake every proven no-op, not only the
+            # readers of this document — but do NOT schedule the new call
+            # sites; their document's owner drives them.
             self.kernel.productive += 1
             self.kernel.scheduler.promote_tried()
             # Replica application bypasses apply_graft (and thus the graft

@@ -411,8 +411,22 @@ class TestKernelDirect:
         with pytest.raises(ValueError):
             kernel.checkpoint(str(tmp_path / "x.ckpt"))
 
-    def test_generation_tracks_productive_grafts(self):
+    def test_read_stamp_tracks_what_the_call_reads(self):
+        """A call's read stamp moves with the documents its service reads
+        and with nothing else; without a system it is ``productive``."""
         system = build_workload()
         engine = RewritingEngine(system)
-        result = engine.run()
-        assert engine.kernel.generation == result.productive
+        engine.run()
+        kernel = engine.kernel
+        calls = {node.marking.name: node for _, node in system.call_sites()}
+        rating, promo = calls["GetRating"], calls["FreeMusicDB"]
+        ratings = system.documents["ratingsdb"]
+        assert kernel.read_stamp(promo) == \
+            system.documents["musicdb"].root.version
+        before = kernel.read_stamp(rating), kernel.read_stamp(promo)
+        kernel.apply_external(ratings, ratings.root,
+                              [parse_tree('entry{song{"x"}, stars{"1"}}')])
+        assert kernel.read_stamp(rating) == ratings.root.version > before[0]
+        assert kernel.read_stamp(promo) == before[1]
+        bare = EvaluationKernel(sites=[])
+        assert bare.read_stamp(rating) == bare.productive == 0

@@ -1,16 +1,20 @@
 """Unit tests for the shared two-queue fair scheduler (paxml.kernel).
 
 Covers the properties both engines rely on: round-robin fairness, the
-two promotion orders after a productive step, park/unpark ordering for
-circuit-breaker cooldowns, the attempt budget, suppression, and the
+two promotion orders after a productive step, the read-stamped wake (a
+graft wakes only the tried sites whose reads grew), park/unpark ordering
+for circuit-breaker cooldowns, the attempt budget, suppression, and the
 frontier snapshot/restore roundtrip.
 """
 
 import pytest
 
-from paxml.kernel import CallScheduler, POLICIES
+from paxml import AXMLSystem, perf
+from paxml.kernel import CallScheduler, EvaluationKernel, POLICIES
 from paxml.tree.document import Document
-from paxml.tree.node import fun, label
+from paxml.tree.node import fun, label, val
+from paxml.tree.parser import parse_tree
+from paxml.tree.reduction import reduce_in_place
 
 
 def make_sites(count, name="d"):
@@ -134,6 +138,109 @@ class TestPromotion:
             scheduler.enqueue(*site)
         scheduler.promote_tried()
         assert scheduler.pop() == sites[0]
+
+
+class TestReadStampedWake:
+    """A productive graft into a document wakes only the tried sites
+    whose read stamp moved; every other no-op verdict stands."""
+
+    @staticmethod
+    def all_tried(documents, services):
+        system = AXMLSystem.build(documents=documents, services=services)
+        kernel = EvaluationKernel(system)
+        scheduler = kernel.scheduler
+        while scheduler.has_fresh():
+            scheduler.mark_tried(scheduler.pop())
+        return system, kernel
+
+    @staticmethod
+    def calls(system, document):
+        return {node.marking.name: node for node
+                in system.documents[document].root.function_nodes()}
+
+    @staticmethod
+    def inject(kernel, system, document, tree, parent=None):
+        doc = system.documents[document]
+        return kernel.apply_external(doc, parent or doc.root,
+                                     [parse_tree(tree)])
+
+    def test_graft_into_an_unread_document_wakes_nothing(self):
+        system, kernel = self.all_tried(
+            {"a": "r{!A, !B}", "b": "r{item{1}}", "c": "r{}"},
+            {"A": "out{$v} :- b/r{item{$v}}", "B": "out{1} :- "})
+        scheduler = kernel.scheduler
+        before = perf.stats.tried_woken, perf.stats.tried_kept
+        assert self.inject(kernel, system, "c", "item{2}")
+        assert scheduler.tried_count() == 2
+        assert not scheduler.has_fresh()
+        assert (scheduler.tried_woken, scheduler.tried_kept) == (0, 2)
+        assert (perf.stats.tried_woken - before[0],
+                perf.stats.tried_kept - before[1]) == (0, 2)
+        # A graft into the document !A reads wakes !A alone.
+        assert self.inject(kernel, system, "b", "item{2}")
+        assert scheduler.pop()[1] is self.calls(system, "a")["A"]
+        assert not scheduler.has_fresh()
+        assert (scheduler.tried_woken, scheduler.tried_kept) == (1, 3)
+
+    def test_input_reader_wakes_only_when_its_call_subtree_grows(self):
+        system, kernel = self.all_tried(
+            {"d": "r{!In{p}, q}"},
+            {"In": "out{$v} :- input/input{p{$v}}"})
+        scheduler = kernel.scheduler
+        root = system.documents["d"].root
+        call = self.calls(system, "d")["In"]
+        q = next(child for child in root.children if not child.is_function)
+        assert self.inject(kernel, system, "d", "x", parent=q)
+        assert self.inject(kernel, system, "d", "y")
+        assert not scheduler.has_fresh()
+        assert self.inject(kernel, system, "d", "z",
+                           parent=call.children[0])
+        assert scheduler.pop()[1] is call
+
+    def test_context_reader_wakes_only_when_its_parent_grows(self):
+        system, kernel = self.all_tried(
+            {"d": "r{cd{!Ctx, t}, cd{u}}"},
+            {"Ctx": "seen{$v} :- context/cd{t{$v}}"})
+        scheduler = kernel.scheduler
+        home, other = system.documents["d"].root.children
+        call = self.calls(system, "d")["Ctx"]
+        assert self.inject(kernel, system, "d", "v", parent=other)
+        assert self.inject(kernel, system, "d", "w")
+        assert not scheduler.has_fresh()
+        t = next(child for child in home.children if not child.is_function)
+        assert self.inject(kernel, system, "d", "1", parent=t)
+        assert scheduler.pop()[1] is call
+
+    def test_equivalence_only_prune_wakes_nothing(self):
+        system, kernel = self.all_tried(
+            {"a": "r{!A}", "b": "r{item{1}}"},
+            {"A": "out{$v} :- b/r{item{$v}}"})
+        scheduler = kernel.scheduler
+        call = self.calls(system, "a")["A"]
+        root = system.documents["b"].root
+        stamp = kernel.read_stamp(call)
+        # A duplicate sibling slipped in without a version bump; pruning
+        # it is equivalence-preserving and must not move the stamp.
+        root.children.append(label("item", val(1)))
+        assert reduce_in_place(root)
+        assert len(root.children) == 1
+        assert kernel.read_stamp(call) == stamp
+        assert scheduler.wake_tried("b") == 0
+        assert scheduler.tried_count() == 1
+
+    def test_kernel_without_a_system_wakes_everything(self):
+        document = Document("d", parse_tree("r{!A, !B}"))
+        other = Document("e", parse_tree("r{}"))
+        sites = [(document, node) for node in document.root.children]
+        kernel = EvaluationKernel(sites=sites)
+        scheduler = kernel.scheduler
+        assert scheduler.read_sets is None
+        while scheduler.has_fresh():
+            scheduler.mark_tried(scheduler.pop())
+        kernel.apply_external(other, other.root, [parse_tree("x")])
+        assert scheduler.tried_count() == 0
+        assert scheduler.fresh_count() == 2
+        assert (scheduler.tried_woken, scheduler.tried_kept) == (2, 0)
 
 
 class TestParking:

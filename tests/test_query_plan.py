@@ -391,7 +391,7 @@ def test_graft_path_patches_the_index_in_place():
 
 def test_index_entries_belong_to_the_node_they_were_built_from():
     """A copy reusing a live node's uid (as checkpoint replay builds) must
-    neither read nor patch the live node's entries, nor the reverse."""
+    neither read nor patch the live node's index memo, nor the reverse."""
     live = relation_tree(chain_edges(3))
     copy = from_wire(to_wire(live))
     assert (copy.uid, copy.version) == (live.uid, live.version)
@@ -400,18 +400,18 @@ def test_index_entries_belong_to_the_node_they_were_built_from():
     def ids(nodes):
         return set(map(id, nodes))
 
-    # Same (uid, version): only identity tells the two entries apart.
+    # Same (uid, version), yet each node derives its own memo on itself.
     value = live.children[0].children[0].children[0].marking
     for root in (live, copy):
         probed = probe_bucket(root, row, Label("c0"), value)
         assert probed and ids(probed) <= ids(root.children)
         assert ids(child_bucket(root, row)) == ids(root.children)
-    # The copy now owns the uid's entry; a live graft whose child count
-    # lines up with it must not patch it (that would mix the trees).
+    # Both memos are now current; a live graft patches only the live
+    # node's memo and must leave the copy's alone (that would mix trees).
     edge = label("t", label("c0", val(7)), label("c1", val(8)))
     assert graft_under([live], [edge])
     assert ids(child_bucket(live, row)) == ids(live.children)
-    # And back: a graft into the copy leaves the live entry whole.
+    # And back: a graft into the copy leaves the live memo whole.
     assert graft_under([copy], [label("t", label("c0", val(9)))])
     assert ids(child_bucket(live, row)) == ids(live.children)
     assert ids(child_bucket(copy, row)) == ids(copy.children)

@@ -23,7 +23,7 @@ from paxml.tree import child_buckets
 from paxml.tree.parser import parse_tree
 from paxml.tree.serializer import to_canonical
 from paxml.tree.store import intern_marking, subtree_bits
-from paxml.workloads import random_edges, tc_system
+from paxml.workloads import portal_system, random_edges, tc_system
 
 
 def drive(session):
@@ -147,6 +147,20 @@ class TestSessionOps:
         assert "c1{4}" in final["tree"]
         replayed = session.read_at("d0", final["grafts"])
         assert replayed["tree"] == final["tree"]
+
+    def test_stats_show_woken_and_kept_tried_sites(self):
+        """An injected rating wakes the four ``!GetRating`` sites, which
+        read ``ratingsdb``; the three promos, which read only
+        ``musicdb``, stay asleep."""
+        session = TenantSession("t", portal_system(
+            4, materialized_fraction=0.0, n_irrelevant=3, seed=1))
+        drive(session)
+        before = session.stats()["scheduler"]
+        assert session.inject(
+            "ratingsdb", [parse_tree('entry{song{"x"}, stars{"2"}}')]) == 1
+        after = session.stats()["scheduler"]
+        assert after["tried_woken"] - before["tried_woken"] == 4
+        assert after["tried_kept"] - before["tried_kept"] == 3
 
     def test_read_at_walks_the_prefix_lattice(self):
         session = TenantSession("t", tc_system(random_edges(4, 5, seed=11)))
