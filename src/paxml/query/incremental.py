@@ -23,119 +23,17 @@ import weakref
 from typing import Dict, Hashable, List, Mapping, Optional, Set
 
 from .. import perf
-from ..obs import bus as obs_bus
-from ..obs.provenance import stage_answer
-from ..tree import store as tree_store
 from ..tree.antichain import BitsetAntichain
 from ..tree.document import Forest
 from ..tree.node import Node, current_stamp
-from ..tree.reduction import canonical_key
 from .matching import (
+    answer_builder,
     binding_keyer,
     enumerate_assignments,
     enumerate_assignments_delta,
-    valuation_summary,
-    witness_uids,
+    evaluate_snapshot,
 )
-from .pattern import PatternNode, RegexSpec, instantiate
 from .rule import PositiveQuery
-from .variables import FunVar, LabelVar, TreeVar, ValueVar
-
-
-_EMPTY_KEYSET: frozenset = frozenset()
-
-
-def _compile_head_key(pattern: PatternNode):
-    """A closure computing ``canonical_key(instantiate(pattern, µ))`` from µ.
-
-    Canonical keys compose structurally — ``(marking, frozenset(maximal
-    child keys))`` — so for most heads the key of an answer is computable
-    straight from the binding, without building the answer tree at all.
-    The evaluator uses this to recognise duplicate answers (many join
-    valuations project to the same head) before paying for instantiation.
-
-    The one non-compositional ingredient is the sibling-maximality filter:
-    with several children it needs subsumption tests between the actual
-    trees.  Sibling subsumption requires equal root markings, so the
-    filter is statically vacuous when every child root is a concrete
-    marking and no two are equal — the common shape for heads.  Returns
-    ``None`` (caller falls back to instantiate-then-key) otherwise.
-    """
-    spec = pattern.spec
-    if isinstance(spec, RegexSpec):
-        return None
-    if isinstance(spec, TreeVar):
-        # The bound subtree is copied at instantiation; the copy is
-        # structurally identical, so the document node's (cached) key is
-        # the answer subtree's key.
-        return lambda binding: canonical_key(binding[spec])
-    children = pattern.children
-    if len(children) > 1:
-        markings = [child.spec for child in children]
-        if any(isinstance(m, (LabelVar, FunVar, ValueVar, TreeVar, RegexSpec))
-               for m in markings) or len(set(markings)) != len(markings):
-            return None
-    subkeys = [_compile_head_key(child) for child in children]
-    if any(sub is None for sub in subkeys):
-        return None
-    if isinstance(spec, (LabelVar, FunVar, ValueVar)):
-        if not children:
-            return lambda binding: (binding[spec], _EMPTY_KEYSET)
-        return lambda binding: (
-            binding[spec], frozenset(sub(binding) for sub in subkeys))
-    # Concrete marking; collapse to a constant when the whole subtree is.
-    if not children:
-        const_key = (spec, _EMPTY_KEYSET)
-        return lambda binding: const_key
-    return lambda binding: (
-        spec, frozenset(sub(binding) for sub in subkeys))
-
-
-def _compile_head_bits(pattern: PatternNode):
-    """A closure computing the packed subtree bits of µ(head) from µ.
-
-    The bitset of an instantiated head is the union of one bit per
-    marking in it: a constant mask for the concrete markings (re-interned
-    lazily — intern ids are bit positions and die with ``clear_store``),
-    one interned bit per bound node variable, and the store-cached bits
-    of each bound subtree for tree variables.  Computing this from the
-    binding spares the store from walking fresh answer trees that exist
-    only to sit in a result antichain.
-    """
-    const_markings = []
-    var_specs = []
-    tree_specs = []
-    for node in pattern.iter_nodes():
-        spec = node.spec
-        if isinstance(spec, RegexSpec):
-            return None
-        if isinstance(spec, TreeVar):
-            tree_specs.append(spec)
-        elif isinstance(spec, (LabelVar, FunVar, ValueVar)):
-            var_specs.append(spec)
-        else:
-            const_markings.append(spec)
-    intern = tree_store.intern_marking
-    subtree_bits = tree_store.subtree_bits
-    cache = {"generation": -1, "mask": 0}
-
-    def head_bits(binding) -> int:
-        generation = tree_store.generation()
-        if cache["generation"] != generation:
-            mask = 0
-            for marking in const_markings:
-                mask |= 1 << intern(marking)
-            cache["generation"] = generation
-            cache["mask"] = mask
-        bits = cache["mask"]
-        for spec in var_specs:
-            bits |= 1 << intern(binding[spec])
-        for spec in tree_specs:
-            # Tree-variable images are document subtrees with memo entries;
-            # the instantiated copy shares their marking content exactly.
-            bits |= subtree_bits(binding[spec])
-        return bits
-    return head_bits
 
 
 class _SiteState:
@@ -165,49 +63,17 @@ class IncrementalQueryEvaluator:
         self.query = query
         self.rule_index = rule_index  # position within a union service
         self._sites: Dict[Hashable, _SiteState] = {}
-        # Hash-consed answer instantiation: binding key → (answer tree,
-        # canonical key).  Distinct call sites of one service routinely
-        # derive the same valuations; returning the *same* answer object
-        # keeps its uid/version stable, so the persistent subsumption
-        # cache, the per-node canonical-key slot and the subtree-bits
-        # entry all stay hot instead of being defeated by fresh uids.
-        # Sound because answers are never mutated: grafting copies them
-        # (``graft_answers``) and antichain membership is read-only.
-        self._answers: Dict[frozenset, tuple] = {}
-        # Key-template fast path: compute the canonical key straight from
-        # the binding, and only instantiate (once, memoised by key) when
-        # the key is new to the site.  Answers with equal keys are
-        # equivalent, so which representative gets grafted is immaterial.
-        self._head_key = _compile_head_key(query.head)
-        self._head_bits = _compile_head_bits(query.head)
-        self._by_key: Dict[tuple, Node] = {}
+        self._builder = answer_builder(query)
+        # Hash-consed answers: canonical key → answer tree.  Distinct call
+        # sites of one service routinely derive the same answers; handing
+        # out the *same* object keeps its uid/version stable, so the
+        # persistent subsumption cache, the per-node canonical-key slot
+        # and the subtree-bits memo all stay hot instead of being
+        # defeated by fresh uids.  Sound because answers are never
+        # mutated: grafting copies them (``graft_answers``) and antichain
+        # membership is read-only.
+        self._answers: Dict[tuple, Node] = {}
         _live_evaluators.add(self)
-
-    def _instantiate(self, binding) -> tuple:
-        """The (answer, canonical key) for ``binding``, hash-consed."""
-        bkey = binding_keyer(self.query)(binding)
-        cached = self._answers.get(bkey)
-        if cached is None:
-            answer = instantiate(self.query.head, binding)
-            cached = (answer, canonical_key(answer))
-            self._answers[bkey] = cached
-        return cached
-
-    def _answer_for(self, key, binding) -> Node:
-        """The memoised answer tree for a template-computed ``key``."""
-        answer = self._by_key.get(key)
-        if answer is None:
-            answer = instantiate(self.query.head, binding)
-            self._by_key[key] = answer
-        return answer
-
-    def _stage_provenance(self, answer: Node, key,
-                          environment: Mapping[str, Node],
-                          binding) -> None:
-        """Record, for the provenance index, how ``answer`` was derived."""
-        stage_answer(key, rule=str(self.query), rule_index=self.rule_index,
-                     valuation=valuation_summary(binding),
-                     matched=witness_uids(self.query, environment, binding))
 
     # ------------------------------------------------------------------
 
@@ -223,11 +89,10 @@ class IncrementalQueryEvaluator:
         result — when incremental matching is disabled or no site identity
         is available.
         """
-        from .matching import evaluate_snapshot  # local: avoid cycle at import
-
         if site is None or not perf.flags.incremental_matching:
             perf.stats.full_evaluations += 1
-            return evaluate_snapshot(self.query, environment)
+            return evaluate_snapshot(self.query, environment,
+                                     self.rule_index)
 
         state = self._sites.get(site)
         doc_uids = self._environment_uids(environment)
@@ -242,70 +107,29 @@ class IncrementalQueryEvaluator:
             cutoff = current_stamp()
             perf.stats.full_evaluations += 1
             assignments = enumerate_assignments(self.query, environment)
-            seen: set = set()
+            keyer = binding_keyer(self.query)
+            seen = {keyer(binding) for binding in assignments}
             results = BitsetAntichain()
             result_keys: set = set()
-            head_key = self._head_key
-            head_bits = self._head_bits
-            bkey = binding_keyer(self.query)
-            for binding in assignments:
-                seen.add(bkey(binding))
-                # Many assignments instantiate equivalent answers (e.g. a
-                # join witness the head projects away).  Equal canonical
-                # keys ⟺ equivalent trees, and once a key was inserted the
-                # antichain dominates that answer forever (it only ever gets
-                # stronger), so repeats skip the O(|results|) insertion —
-                # and, when the head has a key template, skip instantiation
-                # altogether.
-                if head_key is not None:
-                    key = head_key(binding)
-                    if key in result_keys:
-                        continue
-                    answer = self._answer_for(key, binding)
-                else:
-                    answer, key = self._instantiate(binding)
-                    if key in result_keys:
-                        continue
-                result_keys.add(key)
-                if obs_bus.ACTIVE:
-                    self._stage_provenance(answer, key, environment, binding)
-                results.insert(answer,
-                               head_bits(binding) if head_bits else None)
+            self._builder.insert(assignments, results, result_keys,
+                                 environment, self.rule_index, self._answers)
             self._sites[site] = _SiteState(cutoff, seen, results, result_keys,
                                            doc_uids)
-            return Forest(list(results))
+            return Forest(results.items())
 
         perf.stats.delta_evaluations += 1
         new_cutoff = current_stamp()
         new_assignments = enumerate_assignments_delta(
             self.query, environment, state.cutoff, state.seen)
-        results = state.results
-        delta: List[Node] = []
-        head_key = self._head_key
-        head_bits = self._head_bits
-        for binding in new_assignments:
-            if head_key is not None:
-                key = head_key(binding)
-                if key in state.result_keys:
-                    continue
-                answer = self._answer_for(key, binding)
-            else:
-                answer, key = self._instantiate(binding)
-                if key in state.result_keys:
-                    continue
-            state.result_keys.add(key)
-            if obs_bus.ACTIVE:
-                self._stage_provenance(answer, key, environment, binding)
-            if results.insert(answer,
-                              head_bits(binding) if head_bits else None):
-                delta.append(answer)
+        delta = self._builder.insert(new_assignments, state.results,
+                                     state.result_keys, environment,
+                                     self.rule_index, self._answers)
         state.cutoff = new_cutoff
         return Forest(delta)
 
     def reset(self) -> None:
         self._sites.clear()
         self._answers.clear()
-        self._by_key.clear()
 
     # ------------------------------------------------------------------
     # checkpointing

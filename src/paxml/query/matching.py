@@ -23,10 +23,18 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..obs import bus as obs_bus
 from ..obs.provenance import stage_answer
+from ..tree.antichain import BitsetAntichain
 from ..tree.document import Forest
 from ..tree.node import FunName, Label, Node, Value
-from ..tree.reduction import canonical_key, reduce_forest
-from .pattern import Assignment, PatternNode, RegexSpec, instantiate
+from ..tree.reduction import canonical_key, reduce_in_place
+from .pattern import (
+    Assignment,
+    PatternNode,
+    RegexSpec,
+    compile_head_bits,
+    compile_head_key,
+    instantiate,
+)
 from .rule import Inequality, PositiveQuery
 from .variables import FunVar, LabelVar, TreeVar, ValueVar
 
@@ -525,6 +533,102 @@ def _inequalities_hold(inequalities: List[Inequality], binding: Assignment) -> b
     )
 
 
+class AnswerBuilder:
+    """One query's answer pipeline: satisfying assignments → answer trees.
+
+    Every evaluator runs this one loop — the snapshot result (one fresh
+    antichain per call, :func:`evaluate_snapshot`) as well as the
+    incremental evaluator's first and delta passes (one antichain per
+    call site).  For each binding:
+
+    * the answer's canonical key comes straight from the compiled head
+      template (:func:`~paxml.query.pattern.compile_head_key`), so a
+      binding whose answer is already known is skipped before anything
+      is built; heads without a template (repeated or variable sibling
+      markings) are instantiated and keyed instead;
+    * each new key is instantiated once and reduced in place — the tree
+      is the builder's own, so no copy is needed;
+    * the answer enters the antichain with its marking bits computed
+      from the binding (:func:`~paxml.query.pattern.compile_head_bits`).
+
+    Equal keys mean equivalent answers, and once a key was inserted the
+    antichain dominates that answer for good (it only ever gets
+    stronger), so skipping repeats changes nothing: the result is the
+    reduced forest of all the instantiations, first representative per
+    equivalence class, in insertion order.  Compiled once per query
+    (:func:`answer_builder`).
+    """
+
+    __slots__ = ("query", "head_key", "head_bits", "needs_reduce")
+
+    def __init__(self, query: PositiveQuery):
+        self.query = query
+        self.head_key = compile_head_key(query.head)
+        self.head_bits = compile_head_bits(query.head)
+        # A template head without tree variables instantiates to a reduced
+        # tree: each node's children carry pairwise distinct concrete
+        # markings, so no sibling can subsume another.
+        self.needs_reduce = (self.head_key is None
+                             or query.head.has_tree_vars())
+
+    def insert(self, bindings: Iterable[Assignment],
+               results: BitsetAntichain, keys: set,
+               documents: Mapping[str, Node], rule_index: int = 0,
+               memo: Optional[Dict[tuple, Node]] = None) -> List[Node]:
+        """Insert the answers of ``bindings`` whose keys are not in
+        ``keys``; return those that entered ``results``.
+
+        ``keys`` gains every new key.  ``memo`` (key → answer) lets a
+        caller hand out one answer object per key across calls; without
+        it every answer is a fresh tree sharing nothing with
+        ``documents``.  While the bus is on, each new key stages the
+        derivation of the binding whose answer is kept.
+        """
+        head = self.query.head
+        head_key, head_bits = self.head_key, self.head_bits
+        entered: List[Node] = []
+        for binding in bindings:
+            answer = None
+            if head_key is not None:
+                key = head_key(binding)
+                if key in keys:
+                    continue
+            else:
+                answer = instantiate(head, binding)
+                key = canonical_key(answer)
+                if key in keys:
+                    continue
+            keys.add(key)
+            cached = memo.get(key) if memo is not None else None
+            if cached is not None:
+                answer = cached
+            else:
+                if answer is None:
+                    answer = instantiate(head, binding)
+                if self.needs_reduce:
+                    reduce_in_place(answer)
+                if memo is not None:
+                    memo[key] = answer
+            if obs_bus.ACTIVE:
+                stage_answer(key, rule=str(self.query), rule_index=rule_index,
+                             valuation=valuation_summary(binding),
+                             matched=witness_uids(self.query, documents,
+                                                  binding))
+            if results.insert(answer,
+                              head_bits(binding) if head_bits else None):
+                entered.append(answer)
+        return entered
+
+
+def answer_builder(query: PositiveQuery) -> AnswerBuilder:
+    """The query's :class:`AnswerBuilder`, compiled once and cached on it
+    (like :func:`binding_keyer`)."""
+    builder = getattr(query, "_answer_builder", None)
+    if builder is None:
+        builder = query._answer_builder = AnswerBuilder(query)
+    return builder
+
+
 def evaluate_snapshot(query: PositiveQuery,
                       documents: Mapping[str, Node],
                       rule_index: int = 0) -> Forest:
@@ -534,14 +638,23 @@ def evaluate_snapshot(query: PositiveQuery,
     service body, the reserved names ``input`` and ``context``) to tree
     roots.  The input trees are never mutated; results are fresh trees.
     """
-    assignments = enumerate_assignments(query, documents)
-    results = []
-    for binding in assignments:
-        answer = instantiate(query.head, binding)
-        results.append(answer)
-        if obs_bus.ACTIVE:
-            stage_answer(canonical_key(answer), rule=str(query),
-                         rule_index=rule_index,
-                         valuation=valuation_summary(binding),
-                         matched=witness_uids(query, documents, binding))
-    return Forest(reduce_forest(results))
+    results = BitsetAntichain()
+    answer_builder(query).insert(enumerate_assignments(query, documents),
+                                 results, set(), documents, rule_index)
+    return Forest(results.items())
+
+
+def evaluate_union_snapshot(queries: Iterable[PositiveQuery],
+                            documents: Mapping[str, Node]) -> Forest:
+    """The snapshot result of a union of rules, as a reduced forest.
+
+    Every rule's answers go into one antichain, rule by rule: the same
+    forest, in the same order, as folding :meth:`Forest.union` over the
+    per-rule snapshots, without re-reducing the trees gathered so far.
+    """
+    results = BitsetAntichain()
+    keys: set = set()
+    for index, query in enumerate(queries):
+        answer_builder(query).insert(enumerate_assignments(query, documents),
+                                     results, keys, documents, index)
+    return Forest(results.items())

@@ -16,7 +16,9 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ..automata.nfa import NFA
 from ..automata.regex import Regex, parse_regex
+from ..tree import store as tree_store
 from ..tree.node import FunName, Label, Marking, Node, Value
+from ..tree.reduction import canonical_key
 from .variables import FunVar, LabelVar, TreeVar, ValueVar, Variable, binds_marking
 
 
@@ -135,6 +137,104 @@ def instantiate(pattern: PatternNode, assignment: Assignment) -> Node:
     else:
         marking = spec  # a concrete marking
     return Node(marking, [instantiate(child, assignment) for child in pattern.children])
+
+
+_EMPTY_KEYSET: frozenset = frozenset()
+
+
+def compile_head_key(pattern: PatternNode):
+    """A closure computing ``canonical_key(instantiate(pattern, µ))`` from µ.
+
+    Canonical keys compose structurally — ``(marking, frozenset(maximal
+    child keys))`` — so for most heads the key of an answer is computable
+    straight from the binding, without building the answer tree at all.
+    The answer builder uses this to recognise duplicate answers (many join
+    valuations project to the same head) before paying for instantiation.
+
+    The one non-compositional ingredient is the sibling-maximality filter:
+    with several children it needs subsumption tests between the actual
+    trees.  Sibling subsumption requires equal root markings, so the
+    filter is statically vacuous when every child root is a concrete
+    marking and no two are equal — the common shape for heads.  Returns
+    ``None`` (caller falls back to instantiate-then-key) otherwise.
+    """
+    spec = pattern.spec
+    if isinstance(spec, RegexSpec):
+        return None
+    if isinstance(spec, TreeVar):
+        # The bound subtree is copied at instantiation; the copy is
+        # structurally identical, so the document node's (cached) key is
+        # the answer subtree's key.
+        return lambda binding: canonical_key(binding[spec])
+    children = pattern.children
+    if len(children) > 1:
+        markings = [child.spec for child in children]
+        if any(isinstance(m, (LabelVar, FunVar, ValueVar, TreeVar, RegexSpec))
+               for m in markings) or len(set(markings)) != len(markings):
+            return None
+    subkeys = [compile_head_key(child) for child in children]
+    if any(sub is None for sub in subkeys):
+        return None
+    if isinstance(spec, (LabelVar, FunVar, ValueVar)):
+        if not children:
+            return lambda binding: (binding[spec], _EMPTY_KEYSET)
+        return lambda binding: (
+            binding[spec], frozenset(sub(binding) for sub in subkeys))
+    # Concrete marking; collapse to a constant when the whole subtree is.
+    if not children:
+        const_key = (spec, _EMPTY_KEYSET)
+        return lambda binding: const_key
+    return lambda binding: (
+        spec, frozenset(sub(binding) for sub in subkeys))
+
+
+def compile_head_bits(pattern: PatternNode):
+    """A closure computing the packed subtree bits of µ(head) from µ.
+
+    The bitset of an instantiated head is the union of one bit per
+    marking in it: a constant mask for the concrete markings (re-interned
+    lazily — intern ids are bit positions and die with ``clear_store``),
+    one interned bit per bound node variable, and the store-cached bits
+    of each bound subtree for tree variables.  Computing this from the
+    binding spares the store from walking fresh answer trees that exist
+    only to sit in a result antichain.  Reducing the answer keeps the
+    bits: a pruned sibling's markings all occur in the sibling that
+    subsumes it.
+    """
+    const_markings = []
+    var_specs = []
+    tree_specs = []
+    for node in pattern.iter_nodes():
+        spec = node.spec
+        if isinstance(spec, RegexSpec):
+            return None
+        if isinstance(spec, TreeVar):
+            tree_specs.append(spec)
+        elif isinstance(spec, (LabelVar, FunVar, ValueVar)):
+            var_specs.append(spec)
+        else:
+            const_markings.append(spec)
+    intern = tree_store.intern_marking
+    subtree_bits = tree_store.subtree_bits
+    cache = {"generation": -1, "mask": 0}
+
+    def head_bits(binding) -> int:
+        generation = tree_store.generation()
+        if cache["generation"] != generation:
+            mask = 0
+            for marking in const_markings:
+                mask |= 1 << intern(marking)
+            cache["generation"] = generation
+            cache["mask"] = mask
+        bits = cache["mask"]
+        for spec in var_specs:
+            bits |= 1 << intern(binding[spec])
+        for spec in tree_specs:
+            # Tree-variable images are document subtrees with memo entries;
+            # the instantiated copy shares their marking content exactly.
+            bits |= subtree_bits(binding[spec])
+        return bits
+    return head_bits
 
 
 def pattern_to_text(pattern: PatternNode) -> str:

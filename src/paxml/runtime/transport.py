@@ -101,6 +101,13 @@ class LocalTransport(Transport):
     *applied* would be lost for good, because the incremental evaluator
     marks it delivered.  Snapshot answers are always safe to recompute —
     grafting drops what the document already subsumes.
+
+    A served call therefore costs one full plan join over the current
+    documents, plus, per *distinct* answer, one instantiation and one
+    indexed antichain insert (the query's answer builder skips a
+    duplicate by its head key before building it, and makes no copy).
+    The join and the per-answer work still grow with the whole result,
+    not with what changed since the site's last call.
     """
 
     def __init__(self, system: AXMLSystem, latency: LatencySpec = None):

@@ -29,7 +29,7 @@ from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
 
 from .. import perf
 from ..query.incremental import IncrementalQueryEvaluator
-from ..query.matching import evaluate_snapshot
+from ..query.matching import evaluate_snapshot, evaluate_union_snapshot
 from ..query.parser import parse_queries, parse_query
 from ..query.rule import PositiveQuery
 from ..tree.document import CONTEXT, INPUT, Forest
@@ -180,11 +180,7 @@ class UnionQueryService(Service):
         return cls(name, parse_queries(text, name=name))
 
     def evaluate(self, environment: Environment) -> Forest:
-        result = Forest.empty()
-        for index, query in enumerate(self.queries):
-            result = result.union(
-                evaluate_snapshot(query, environment, rule_index=index))
-        return result
+        return evaluate_union_snapshot(self.queries, environment)
 
     def evaluate_delta(self, environment: Environment,
                        site: Optional[Hashable]) -> Forest:

@@ -10,7 +10,16 @@ from paxml.obs.provenance import (
     stage_answer,
     take_staged,
 )
+from paxml.query import parse_query
+from paxml.query.matching import (
+    enumerate_assignments,
+    evaluate_snapshot,
+    valuation_summary,
+)
+from paxml.query.pattern import instantiate
 from paxml.runtime import AsyncRuntime, LocalTransport, RuntimeConfig
+from paxml.tree import parse_tree, to_compact
+from paxml.tree.reduction import canonical_key, reduce_in_place
 
 
 def initial_uids(system):
@@ -36,6 +45,42 @@ class TestStaging:
         stage_answer("k", rule="r", rule_index=0, valuation={}, matched=[])
         clear_staged()
         assert take_staged("k") is None
+
+
+class TestSnapshotStaging:
+    """A snapshot answer's staged derivation is the binding it was built
+    from: the first one with its key, not a later duplicate."""
+
+    @pytest.mark.parametrize("rule,text", [
+        # the head projects $y away: every b value has several derivations
+        ("r{$x} :- d/a{b{$x}, c{$y}}", "a{b{1}, b{2}, c{3}, c{4}, c{5}}"),
+        # no key template: $x=1,$y=3 and $x=3,$y=1 build equivalent
+        # answers whose children come in opposite orders
+        ("p{k{$x}, k{$y}} :- d/a{b{$x}, c{$y}}",
+         "a{b{1}, b{3}, c{1}, c{3}}"),
+    ])
+    def test_staged_valuation_instantiates_to_the_answer(self, rule, text):
+        query = parse_query(rule)
+        documents = {"d": parse_tree(text)}
+        clear_staged()
+        with obs.tracing(obs.TraceRecorder()):
+            forest = evaluate_snapshot(query, documents)
+        first = {}
+        bindings = enumerate_assignments(query, documents)
+        for binding in bindings:
+            first.setdefault(canonical_key(instantiate(query.head, binding)),
+                             binding)
+        assert len(bindings) > len(first), "no duplicate derivations"
+        for answer in forest:
+            staged = take_staged(canonical_key(answer))
+            assert staged is not None
+            binding = first[canonical_key(answer)]
+            assert staged["valuation"] == valuation_summary(binding)
+            assert staged["matched"]
+            rebuilt = instantiate(query.head, binding)
+            reduce_in_place(rebuilt)
+            assert to_compact(rebuilt) == to_compact(answer)
+        clear_staged()
 
 
 class TestSequentialCompleteness:

@@ -29,6 +29,7 @@ from paxml.query import compile_query, describe_plan, parse_query
 from paxml.query import incremental, matching
 from paxml.query.incremental import IncrementalQueryEvaluator
 from paxml.query.matching import (
+    answer_builder,
     enumerate_assignments,
     enumerate_assignments_delta,
     evaluate_snapshot,
@@ -39,12 +40,13 @@ from paxml.query.pattern import RegexSpec, instantiate, pattern_to_text
 from paxml.query.plan import _selectivity_rank
 from paxml.query.variables import TreeVar, ValueVar
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
-from paxml.system import materialize
+from paxml.system import UnionQueryService, materialize
 from paxml.system.invocation import find_path, graft_answers, graft_under
 from paxml.tree import (
     Forest,
     child_bucket,
     child_buckets,
+    is_reduced,
     is_subsumed,
     label,
     parse_tree,
@@ -125,21 +127,67 @@ QUERIES = [
     "pair{$x, *T} :- d/r{t{c0{$x}, c1{*T}}}",
     "p{@l} :- d/r{@l{c0}}",
     "p{c0{$x}, c1{$y}} :- d/r{t{c0{$x}, c1{$y}}}, $x != $y",
+    # repeated child markings: no key template, instantiate-then-key
+    "p{c{$x}, c{$y}} :- d/r{t{c0{$x}, c1{$y}}}",
+    # a tree variable bound to every root child, the unreduced one included
+    "wrap{*T} :- d/r{*T}",
+    # a label variable at the head's root
+    "@l{$x} :- d/r{@l{c0{$x}}}",
 ]
+
+
+def _relation_document(seed: int):
+    """A random relation plus random trees and one unreduced subtree
+    (``u{1}`` is subsumed by its sibling ``u{1, 2}``)."""
+    document = relation_tree(random_edges(6 + seed % 5, 10 + seed, seed=seed))
+    for extra in range(seed % 3):
+        document.add_child(random_tree(5 + extra, seed=seed * 7 + extra))
+    document.add_child(parse_tree("t{c0{9}, c1{u{1}, u{1, 2}}}"))
+    return document
+
+
+def _assert_fresh_reduced(forest: Forest, documents) -> None:
+    """Every answer is reduced and shares no node with the documents."""
+    document_nodes = {id(node) for root in documents.values()
+                      for node in root.iter_nodes()}
+    for tree in forest:
+        assert is_reduced(tree), to_canonical(tree)
+        assert document_nodes.isdisjoint(id(node)
+                                         for node in tree.iter_nodes())
+
+
+def test_queries_cover_both_answer_builder_branches():
+    templates = [answer_builder(parse_query(rule)).head_key is not None
+                 for rule in QUERIES]
+    assert any(templates) and not all(templates)
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("rule", QUERIES, ids=lambda r: r.split(" :- ")[0])
 def test_planned_equals_naive_on_random_relations(rule, seed):
     query = parse_query(rule)
-    document = relation_tree(random_edges(6 + seed % 5, 10 + seed, seed=seed))
-    for extra in range(seed % 3):
-        document.add_child(random_tree(5 + extra, seed=seed * 7 + extra))
-    documents = {"d": document}
+    documents = {"d": _relation_document(seed)}
 
     naive = _naive_reduced(query, documents)
     planned = _reduced(query, documents)
     assert planned.equivalent_to(naive)
+    # Both forests are reduced, so equivalence makes them equal in size.
+    assert len(planned) == len(naive)
+    _assert_fresh_reduced(planned, documents)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_union_service_equals_the_naive_union(seed):
+    rules = [parse_query(rule) for rule in QUERIES]
+    documents = {"d": _relation_document(seed)}
+    naive = Forest.empty()
+    for query in rules:
+        naive = naive.union(_naive_reduced(query, documents))
+    _fresh()
+    served = UnionQueryService("u", rules).evaluate(documents)
+    assert served.equivalent_to(naive)
+    assert len(served) == len(naive)
+    _assert_fresh_reduced(served, documents)
 
 
 @pytest.mark.parametrize("seed", range(8))

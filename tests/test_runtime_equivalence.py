@@ -86,11 +86,15 @@ def test_concurrent_limit_survives_fault_injection(case):
 
     concurrent = build_system(family, seed)
     # Faults hit only attempts 1–2; with max_attempts=5 every call is
-    # guaranteed two clean tries, so the run must fully converge.
+    # guaranteed two clean tries, so the run must fully converge.  No call
+    # timeout: a drop then fails its attempt at once, and no deadline can
+    # expire while the loop runs other calls' synchronous evaluation, so
+    # every failed attempt is an injected one (the timed drop path is
+    # covered in test_runtime_async.py).
     injector = FaultInjector(seed=seed, drop_rate=0.15, error_rate=0.2,
                              delay_rate=0.15, duplicate_rate=0.15,
                              delay_seconds=0.002, max_attempt=2)
-    config = RuntimeConfig(concurrency=6, seed=seed, call_timeout=0.05,
+    config = RuntimeConfig(concurrency=6, seed=seed, call_timeout=None,
                            max_attempts=5, backoff_base=0.001,
                            backoff_max=0.01, breaker_threshold=10_000)
     result = AsyncRuntime(concurrent, config=config, injector=injector).run()

@@ -27,10 +27,9 @@ from paxml import perf
 from paxml.kernel import RunStatus, resume
 from paxml.kernel.checkpoint import replay_prefix
 from paxml.obs.metrics import REGISTRY
-from paxml.query.incremental import _compile_head_bits, _compile_head_key
 from paxml.query.matching import enumerate_assignments, evaluate_snapshot
 from paxml.query.parser import parse_query
-from paxml.query.pattern import instantiate
+from paxml.query.pattern import compile_head_bits, compile_head_key, instantiate
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
 from paxml.system import materialize
 from paxml.system.invocation import graft_trees, graft_under
@@ -511,8 +510,8 @@ _TEMPLATE_RULES = [
 @pytest.mark.parametrize("rule", _TEMPLATE_RULES)
 def test_head_templates_match_the_instantiating_oracle(rule):
     query = parse_query(rule)
-    head_key = _compile_head_key(query.head)
-    head_bits = _compile_head_bits(query.head)
+    head_key = compile_head_key(query.head)
+    head_bits = compile_head_bits(query.head)
     root = relation_tree(random_edges(4, 9, seed=5))
     root.add_child(label("fresh", val(1)))
     root.add_child(label("box", label("sub", val(1), val(2))))
@@ -530,16 +529,16 @@ def test_head_key_template_declines_ambiguous_heads():
     """Sibling maximality is only statically vacuous when concrete child
     markings are pairwise distinct; variable markings must decline."""
     ambiguous = parse_query("p{c{$x}, c{$y}} :- d/r{t{c{$x}}, t{c{$y}}}")
-    assert _compile_head_key(ambiguous.head) is None
+    assert compile_head_key(ambiguous.head) is None
     variable = parse_query("p{@l{$x}, c{$y}} :- d/r{@l{$x}, c{$y}}")
-    assert _compile_head_key(variable.head) is None
+    assert compile_head_key(variable.head) is None
 
 
 def test_head_bits_survive_a_store_clear():
     """Interned ids die with clear_store(); the cached const mask must
     re-intern against the new generation, not answer with stale bits."""
     query = parse_query(_TEMPLATE_RULES[0])
-    head_bits = _compile_head_bits(query.head)
+    head_bits = compile_head_bits(query.head)
     documents = {"d": relation_tree(chain_edges(3))}
     binding = next(iter(enumerate_assignments(query, documents)))
     first = head_bits(binding)
