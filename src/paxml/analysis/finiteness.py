@@ -201,12 +201,12 @@ def snapshot_over_graphs(representation: "GraphRepresentation",
     Simple queries bind only markings, and their patterns have finite
     depth, so matching over the graphs is exactly matching over the
     (possibly infinite) limit ``[I]`` — this is how the library evaluates
-    full results over divergent simple systems.
+    full results over divergent simple systems.  The satisfying bindings
+    go through the query's answer builder, as in ``evaluate_snapshot``.
     """
-    from ..query.matching import evaluate_snapshot  # noqa: F401  (doc pointer)
-    from ..query.pattern import instantiate
+    from ..query.matching import answer_builder
+    from ..tree.antichain import BitsetAntichain
     from ..tree.document import Forest
-    from ..tree.reduction import reduce_forest
 
     if not query.is_simple:
         raise ValueError(
@@ -232,7 +232,11 @@ def snapshot_over_graphs(representation: "GraphRepresentation",
         if not bindings:
             return Forest.empty()
     satisfying = [b for b in bindings if _inequalities_hold(query.inequalities, b)]
-    return Forest(reduce_forest([instantiate(query.head, b) for b in satisfying]))
+    # The answers are bound to graph vertices, not document nodes, and
+    # are never grafted: no derivation is staged for them.
+    results = BitsetAntichain()
+    answer_builder(query).insert(satisfying, results, set(), {}, stage=False)
+    return Forest(results.items())
 
 
 def is_q_finite(system: AXMLSystem, query: PositiveQuery,

@@ -315,9 +315,10 @@ class EvaluationKernel:
         Grafts every delivered forest at the call site (``path`` is the
         root-to-call path), then — iff anything was inserted — performs
         the whole productive-step transaction: counter bump, event
-        emission, graft-log append, waking the no-op verdicts of calls
-        that read what grew, and scheduling of freshly grafted calls.
-        Returns the inserted trees.
+        emission, graft-log append, dropping the tried and dormant calls
+        inside the subtrees the graft pruned, waking the no-op verdicts
+        of calls that read what grew, and scheduling of freshly grafted
+        calls.  Returns the inserted trees.
 
         ``deliveries`` may hold several forests (duplicate deliveries of
         an at-least-once transport); with ``dedup_delivered`` answer
@@ -332,6 +333,7 @@ class EvaluationKernel:
         delivered = (self._delivered.setdefault(node.uid, set())
                      if self.dedup_delivered else None)
         inserted_all: List[Node] = []
+        pruned: List[Node] = []
         for index, forest in enumerate(deliveries):
             if index and metrics is not None:
                 metrics.duplicate_deliveries += 1
@@ -348,7 +350,7 @@ class EvaluationKernel:
                     delivered.add(tree_key)
                     novel.append(tree)
             if novel:
-                inserted_all.extend(graft_answers(path, novel))
+                inserted_all.extend(graft_answers(path, novel, pruned))
         if not inserted_all:
             return inserted_all
 
@@ -367,6 +369,7 @@ class EvaluationKernel:
                 step=self.steps - 1, document=document.name, service=service,
                 site=node.uid, trees=[to_wire(t) for t in inserted_all],
                 obs=obs_records, trace=trace_wire))
+        self.scheduler.drop_pruned(pruned)
         self.scheduler.wake_tried(document.name)
         self.scheduler.enqueue_trees(document, inserted_all)
         self._notify_graft(document, node, inserted_all)
@@ -394,7 +397,8 @@ class EvaluationKernel:
             raise ValueError(
                 f"node uid={parent.uid} is not part of document "
                 f"{document.name!r}")
-        inserted = graft_under(path, [tree.copy() for tree in trees])
+        pruned: List[Node] = []
+        inserted = graft_under(path, [tree.copy() for tree in trees], pruned)
         if not inserted:
             return inserted
         self.productive += 1
@@ -412,6 +416,7 @@ class EvaluationKernel:
                 service=EXTERNAL_SERVICE, site=parent.uid,
                 trees=[to_wire(t) for t in inserted], obs=obs_records,
                 trace=trace_wire))
+        self.scheduler.drop_pruned(pruned)
         self.scheduler.wake_tried(document.name)
         self.scheduler.enqueue_trees(document, inserted)
         if self.fire_once:

@@ -297,6 +297,30 @@ class CallScheduler:
         perf.stats.tried_woken += woken
         perf.stats.tried_kept += kept
 
+    def drop_pruned(self, trees: Sequence[Node]) -> None:
+        """Forget the tried and dormant calls inside ``trees``, subtrees
+        a graft just pruned from a document.
+
+        A pruned call is no longer live, so no wake could reach it and
+        it must not count toward ``live_count`` (which would hold off
+        fire-once retirement of the services it feeds).  Untried calls
+        stay queued; popping one raises ``StaleCallError`` and the
+        engine forgets it.
+        """
+        if not (self._tried or self._dormant):
+            return
+        tried, dormant = self._tried, self._dormant
+        for tree in trees:
+            for node in tree.iter_nodes():
+                if not node.is_function:
+                    continue
+                entry = tried.get(node.uid)
+                if entry is not None and entry[0][1] is node:
+                    self._drop_tried(node.uid)
+                    self.forget(node)
+                elif node.uid in dormant and dormant[node.uid][1] is node:
+                    self.forget(node)
+
     def forget(self, node: Node) -> None:
         """Drop a stale/failed call from the enqueued set for good."""
         if node.uid in self._retired:

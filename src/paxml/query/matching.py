@@ -574,15 +574,17 @@ class AnswerBuilder:
     def insert(self, bindings: Iterable[Assignment],
                results: BitsetAntichain, keys: set,
                documents: Mapping[str, Node], rule_index: int = 0,
-               memo: Optional[Dict[tuple, Node]] = None) -> List[Node]:
+               memo: Optional[Dict[tuple, Node]] = None,
+               stage: bool = True) -> List[Node]:
         """Insert the answers of ``bindings`` whose keys are not in
         ``keys``; return those that entered ``results``.
 
         ``keys`` gains every new key.  ``memo`` (key → answer) lets a
         caller hand out one answer object per key across calls; without
         it every answer is a fresh tree sharing nothing with
-        ``documents``.  While the bus is on, each new key stages the
-        derivation of the binding whose answer is kept.
+        ``documents``.  While the bus is on and ``stage`` is set, each
+        new key stages the derivation of the binding whose answer is
+        kept.
         """
         head = self.query.head
         head_key, head_bits = self.head_key, self.head_bits
@@ -609,7 +611,7 @@ class AnswerBuilder:
                     reduce_in_place(answer)
                 if memo is not None:
                     memo[key] = answer
-            if obs_bus.ACTIVE:
+            if stage and obs_bus.ACTIVE:
                 stage_answer(key, rule=str(self.query), rule_index=rule_index,
                              valuation=valuation_summary(binding),
                              matched=witness_uids(self.query, documents,

@@ -13,9 +13,14 @@ The grafting step keeps the "documents stay reduced" invariant
 incrementally: each answer is inserted into the antichain of the parent's
 children (dropping it when an existing sibling subsumes it, evicting
 siblings it subsumes), and the parent's growth is propagated up the
-ancestor chain.  The step is *productive* — ``I →v I'`` with ``I ≢ I'`` —
-exactly when at least one answer strictly enlarged the parent's subtree,
-which the antichain insertion detects for free.
+ancestor chain.  A wide parent (at least ``WIDE_SIBLINGS`` children)
+inserts through the sibling index it keeps
+(``tree.reduction.sibling_index``), and so does every wide ancestor
+the growth reaches; the subtrees either step evicts are reported to
+the caller, whose scheduler drops the calls inside them.
+The step is *productive* — ``I →v I'`` with ``I ≢ I'`` — exactly when
+at least one answer strictly enlarged the parent's subtree, which the
+antichain insertion detects for free.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from typing import Dict, List, Optional, Tuple
 from .. import perf
 from ..tree import index as tree_index
 from ..tree import store as tree_store
-from ..tree.antichain import BitsetAntichain
 from ..tree.document import CONTEXT, INPUT, Document, Forest
 from ..tree.node import Label, Node
-from ..tree.reduction import antichain_insert
+from ..tree.reduction import WIDE_SIBLINGS, antichain_insert, sibling_index
 from ..tree.subsumption import is_subsumed
 from .system import AXMLSystem
 
@@ -167,17 +171,19 @@ def _validate_answers(service_name: str, answers: Forest) -> None:
             )
 
 
-def graft_trees(path: List[Node], trees: List[Node]) -> List[Node]:
+def graft_trees(path: List[Node], trees: List[Node],
+                evicted: Optional[List[Node]] = None) -> List[Node]:
     """Insert ``trees`` as siblings of the call at ``path[-1]``.
 
     Thin call-site spelling of :func:`graft_under`: the grafts become
     children of the call's parent, so the call node itself is sliced off
     the path before delegating.
     """
-    return graft_under(path[:-1], trees)
+    return graft_under(path[:-1], trees, evicted)
 
 
-def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
+def graft_under(parent_path: List[Node], trees: List[Node],
+                evicted: Optional[List[Node]] = None) -> List[Node]:
     """The single graft mutation primitive: insert ``trees`` as children
     of ``parent_path[-1]``, *without copying them first*.
 
@@ -188,27 +194,32 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
     :meth:`paxml.kernel.EvaluationKernel.apply_external` (the serve
     layer's client-driven grafts), checkpoint replay directly (its
     wire-restored trees must keep their original uids, so no copy).
-    Owning the index-memo and bits-memo maintenance (the two
-    ``note_graft`` hooks) and the reduced-invariant restoration in one
-    place is what keeps them wired exactly once.
+    Owning the index-memo, bits-memo and sibling-index maintenance and
+    the reduced-invariant restoration in one place is what keeps them
+    wired exactly once.  ``evicted``, when given, receives every subtree
+    the graft pruned, at the parent and at its ancestors.
+
+    A parent with at least ``WIDE_SIBLINGS`` children inserts through
+    its kept sibling index, which the graft re-stamps after ``touch``;
+    a narrower one through the linear ``antichain_insert``.
     """
     parent = parent_path[-1]
     inserted: List[Node] = []
-    if len(trees) > 1 and len(parent.children) >= 32:
-        # Batch graft against a wide sibling set: index the (already
-        # reduced) children once, then each insert touches only the
-        # bitset-posting candidates instead of scanning every sibling.
-        sibling_index = BitsetAntichain.from_antichain(parent.children)
-        before = len(parent.children)
+    lost: List[Node] = []
+    index = None
+    if len(parent.children) >= WIDE_SIBLINGS:
+        index = sibling_index(parent)
         for graft in trees:
-            if sibling_index.insert(graft):
+            if index.insert(graft, evicted=lost):
                 graft.parent = parent
                 inserted.append(graft)
-        if inserted or len(sibling_index) != before:
-            parent.children[:] = sibling_index.items()
+        if lost:
+            parent.children[:] = index.items()
+        else:
+            parent.children.extend(inserted)
     else:
         for graft in trees:
-            if antichain_insert(parent.children, graft):
+            if antichain_insert(parent.children, graft, lost):
                 graft.parent = parent
                 inserted.append(graft)
     if inserted:
@@ -219,19 +230,25 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
         # One stamp for the whole graft batch: every ancestor's subtree
         # gained content, which is what delta matching keys on.
         parent.touch()
+        if index is not None:
+            index.stamp(parent)
         tree_index.note_graft(parent, inserted, pre_versions[-1])
         tree_store.note_graft(parent_path, inserted, pre_versions)
-        _propagate_growth(parent_path)
+        _propagate_growth(parent_path, pre_versions, lost)
+    if evicted is not None:
+        evicted.extend(lost)
     return inserted
 
 
-def graft_answers(path: List[Node], answers: Forest) -> List[Node]:
+def graft_answers(path: List[Node], answers: Forest,
+                  evicted: Optional[List[Node]] = None) -> List[Node]:
     """Step 3: graft answer copies as siblings of the call at ``path[-1]``.
 
     Returns the trees actually inserted (answers subsumed by existing
-    siblings are dropped, exactly as reduction would drop them).
+    siblings are dropped, exactly as reduction would drop them);
+    ``evicted`` receives the subtrees the graft pruned.
     """
-    return graft_trees(path, [answer.copy() for answer in answers])
+    return graft_trees(path, [answer.copy() for answer in answers], evicted)
 
 
 def new_answers(parent: Node, answers: Forest) -> List[Node]:
@@ -254,7 +271,8 @@ def invoke(system: AXMLSystem, document: Document, call_node: Node) -> Invocatio
     return InvocationResult(changed=bool(inserted), answers=answers, inserted=inserted)
 
 
-def _propagate_growth(parent_path: List[Node]) -> None:
+def _propagate_growth(parent_path: List[Node], pre_versions: List[int],
+                      evicted: List[Node]) -> None:
     """Restore the reduced invariant along the ancestor chain.
 
     Exactly one child of each ancestor grew (the next node on the path;
@@ -264,12 +282,35 @@ def _propagate_growth(parent_path: List[Node]) -> None:
     so at every level it suffices to delete siblings the grown child now
     subsumes.  Every ancestor must be checked — a subtree growing deep down
     can make siblings arbitrarily high up redundant.
+
+    An ancestor goes through its sibling index if the index was current
+    at the ancestor's pre-graft version (``pre_versions``, parallel to
+    the path) or, indexed afresh from the children as they stand, if
+    the ancestor is wide (at least ``WIDE_SIBLINGS`` children).  The
+    index re-posts the grown child, evicts through its anchor lists and
+    is re-stamped.  Any other ancestor scans its children.  Pruned
+    siblings go to ``evicted``.
     """
     for depth in range(len(parent_path) - 1, 0, -1):
         ancestor, grown = parent_path[depth - 1], parent_path[depth]
-        survivors = [
-            child for child in ancestor.children
-            if child is grown or not is_subsumed(child, grown)
-        ]
+        pre, index = pre_versions[depth - 1], ancestor._sibs
+        if len(ancestor.children) >= WIDE_SIBLINGS or (
+                index is not None and index.current(ancestor, pre)):
+            # A fresh index holds ``grown`` among siblings it may now
+            # subsume; regrow evicts exactly those.
+            index = sibling_index(ancestor, pre)
+            lost: List[Node] = []
+            index.regrow(grown, lost)
+            if lost:
+                ancestor.children = index.items()
+                evicted.extend(lost)
+            index.stamp(ancestor)
+            continue
+        survivors = []
+        for child in ancestor.children:
+            if child is grown or not is_subsumed(child, grown):
+                survivors.append(child)
+            else:
+                evicted.append(child)
         if len(survivors) != len(ancestor.children):
             ancestor.children = survivors

@@ -31,19 +31,34 @@ are a handful of entries where the flat loop visited the entire set.
 Degenerate workloads (every tree over the same few markings) degrade
 back to the linear scan — never below it.
 
-Kept trees must not be structurally mutated after insertion (the
-posting lists snapshot their bitsets); the evaluator's answer trees are
-frozen by construction — grafting copies them, antichain membership is
-read-only.
+The posting lists snapshot each kept tree's bitset at insertion.  A
+kept tree may only *grow* afterwards, and only through
+:meth:`SiblingIndex.regrow`, which posts the new bits and evicts the
+siblings the grown tree now subsumes (its anchor stays one of its bits,
+so both scans stay complete).  The evaluator's answer trees never
+change at all: grafting copies them, antichain membership is read-only.
+
+:class:`SiblingIndex` is the antichain a wide document node keeps over
+its own children (:func:`paxml.tree.reduction.sibling_index`): it is
+stamped with the node's version and the intern generation, so a reader
+can tell whether it still holds exactly the node's current children.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
+from . import store as _store
 from .node import Node
 from .store import subtree_bits
 from .subsumption import is_subsumed
+
+
+# The slots posted under one bit.  A dict of ``slot -> None`` rather
+# than a set: with only ints in it, CPython's garbage collector does not
+# track it, and a wide node's kept index holds thousands of them
+# (mostly of one slot, one per distinct data value).
+_Slots = Dict[int, None]
 
 
 def _bit_indexes(bits: int) -> List[int]:
@@ -70,8 +85,8 @@ class BitsetAntichain:
     def __init__(self, trees: Optional[List[Node]] = None):
         self._trees: List[Optional[Node]] = []
         self._bits: List[int] = []
-        self._postings: Dict[int, Set[int]] = {}
-        self._anchored: Dict[int, Set[int]] = {}
+        self._postings: Dict[int, _Slots] = {}
+        self._anchored: Dict[int, _Slots] = {}
         self._anchor: Dict[int, int] = {}
         self._live = 0
         if trees:
@@ -102,12 +117,15 @@ class BitsetAntichain:
     def items(self) -> List[Node]:
         return [tree for tree in self._trees if tree is not None]
 
-    def insert(self, candidate: Node, cbits: Optional[int] = None) -> bool:
+    def insert(self, candidate: Node, cbits: Optional[int] = None,
+               evicted: Optional[List[Node]] = None) -> bool:
         """Insert ``candidate``; True iff it entered the antichain.
 
         ``cbits`` may pass the candidate's packed subtree bits when the
         caller already knows them (the evaluator computes answer bits
         straight from the binding), saving the store walk for fresh trees.
+        ``evicted``, when given, receives the kept trees the candidate
+        evicted.
         """
         if cbits is None:
             cbits = subtree_bits(candidate)
@@ -115,7 +133,7 @@ class BitsetAntichain:
         trees, bits, postings = self._trees, self._bits, self._postings
         # Drop direction: scan the candidate's rarest posting.  A bit
         # with no posting at all proves no kept tree can dominate.
-        best: Optional[Set[int]] = None
+        best: Optional[_Slots] = None
         best_len = -1
         for b in cand_bits:
             posting = postings.get(b)
@@ -143,6 +161,8 @@ class BitsetAntichain:
                             and is_subsumed(trees[i], candidate):
                         evict.append(i)
         for i in evict:
+            if evicted is not None:
+                evicted.append(trees[i])
             self._remove(i)
         self._add(candidate, cbits, cand_bits)
         return True
@@ -159,15 +179,15 @@ class BitsetAntichain:
         for b in bit_list:
             posting = postings.get(b)
             if posting is None:
-                posting = postings[b] = set()
+                posting = postings[b] = {}
             if anchor_len < 0 or len(posting) < anchor_len:
                 anchor, anchor_len = b, len(posting)
-            posting.add(index)
+            posting[index] = None
         self._anchor[index] = anchor
         anchored = self._anchored.get(anchor)
         if anchored is None:
-            anchored = self._anchored[anchor] = set()
-        anchored.add(index)
+            anchored = self._anchored[anchor] = {}
+        anchored[index] = None
         self._live += 1
 
     def _remove(self, index: int) -> None:
@@ -176,9 +196,97 @@ class BitsetAntichain:
         for b in _bit_indexes(tbits):
             posting = self._postings.get(b)
             if posting is not None:
-                posting.discard(index)
+                posting.pop(index, None)
         anchor = self._anchor.pop(index)
         anchored = self._anchored.get(anchor)
         if anchored is not None:
-            anchored.discard(index)
+            anchored.pop(index, None)
         self._live -= 1
+
+
+class SiblingIndex(BitsetAntichain):
+    """The kept antichain of one document node's children.
+
+    ``version`` and ``gen`` record the node version and intern
+    generation the index was last known exact at; :meth:`current` adds
+    the child count.  Members are found by identity (``regrow``), so the
+    index also maps each kept tree to its slot.  Evictions leave empty
+    slots behind; once they outnumber the members the slots are
+    renumbered, so a long-lived index stays proportional to the node.
+    """
+
+    __slots__ = ("_slot", "version", "gen")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._slot: Dict[int, int] = {}
+        self.version = -1
+        self.gen = -1
+
+    def current(self, node: Node, version: int) -> bool:
+        """True iff the index holds exactly ``node``'s children, given
+        that ``version`` is the node's version to check against."""
+        return (self.version == version and self.gen == _store._generation
+                and self._live == len(node.children))
+
+    def stamp(self, node: Node) -> None:
+        """Record that the index is exact for ``node`` as it is now.
+
+        Slots freed by evictions are reclaimed here, between operations,
+        once they outnumber the members.
+        """
+        self.version = node.version
+        self.gen = _store._generation
+        if len(self._trees) > 2 * self._live + 32:
+            self._renumber()
+
+    def regrow(self, tree: Node, evicted: List[Node]) -> None:
+        """``tree``, a member, grew: post its new bits and evict (into
+        ``evicted``) every member it now subsumes.
+
+        A grown member cannot become subsumed (it was maximal and only
+        gained content), and every member it subsumes is anchored at one
+        of its bits, so the anchor lists of its bits are complete.
+        """
+        slot = self._slot[id(tree)]
+        bits, postings = self._bits, self._postings
+        old = bits[slot]
+        grown = subtree_bits(tree)
+        if grown != old:
+            for b in _bit_indexes(grown & ~old):
+                posting = postings.get(b)
+                if posting is None:
+                    posting = postings[b] = {}
+                posting[slot] = None
+            bits[slot] = grown
+        trees, anchored = self._trees, self._anchored
+        evict: List[int] = []
+        for b in _bit_indexes(grown):
+            anchor_list = anchored.get(b)
+            if anchor_list:
+                for i in anchor_list:
+                    obits = bits[i]
+                    if i != slot and obits | grown == grown \
+                            and is_subsumed(trees[i], tree):
+                        evict.append(i)
+        for i in evict:
+            evicted.append(trees[i])
+            self._remove(i)
+
+    def _add(self, tree: Node, tbits: int, bit_list: List[int]) -> None:
+        self._slot[id(tree)] = len(self._trees)
+        super()._add(tree, tbits, bit_list)
+
+    def _remove(self, index: int) -> None:
+        del self._slot[id(self._trees[index])]
+        super()._remove(index)
+
+    def _renumber(self) -> None:
+        trees, bits = self._trees, self._bits
+        kept = [(tree, bits[i]) for i, tree in enumerate(trees)
+                if tree is not None]
+        self._trees, self._bits = [], []
+        self._postings, self._anchored, self._anchor = {}, {}, {}
+        self._slot, self._live = {}, 0
+        for tree, tbits in kept:
+            self._add(tree, tbits, _bit_indexes(tbits))

@@ -224,14 +224,18 @@ class Node:
     its recorded version equals ``version``: the canonical key
     (:mod:`paxml.tree.reduction`), the child/probe/census index
     (:mod:`paxml.tree.index`) and the packed marking bits
-    (:mod:`paxml.tree.store`).  A memo lives and dies with its node.
+    (:mod:`paxml.tree.store`).  A wide node also keeps the antichain
+    index of its children (``_sibs``, see
+    :func:`paxml.tree.reduction.sibling_index`), which must hold exactly
+    the current children and is checked against the child count and the
+    intern generation as well.  A memo lives and dies with its node.
     ``_bits`` and ``_bits_gen`` are written together with
     ``_bits_version`` and read only once it matches, so only that one is
     initialised.
     """
 
     __slots__ = ("marking", "children", "parent", "uid", "version",
-                 "_ckey", "_ckey_version", "_index",
+                 "_ckey", "_ckey_version", "_index", "_sibs",
                  "_bits", "_bits_version", "_bits_gen")
 
     def __init__(self, marking: Union[Marking, str, int, float, bool],
@@ -251,6 +255,7 @@ class Node:
         self._ckey: Optional[object] = None
         self._ckey_version = -1
         self._index: Optional[object] = None
+        self._sibs: Optional[object] = None
         self._bits_version = -1
 
     # ------------------------------------------------------------------
@@ -354,7 +359,8 @@ class Node:
 
         A current cached canonical key travels with the copy (the copy is
         structurally identical, hence has the same key).  The index memo
-        does not: its buckets hold this node's children, not the copy's.
+        and the sibling index do not: they hold this node's children, not
+        the copy's.
         """
         duplicate = Node(self.marking, [child.copy() for child in self.children])
         if self._ckey is not None and self._ckey_version == self.version:

@@ -14,25 +14,41 @@ Two entry points matter downstream:
 * :func:`canonical_key` — a hashable, collision-free structural key of the
   *reduced version* of a tree; equivalent trees get equal keys.  This is the
   workhorse for memoisation in the termination and lazy-evaluation analyses.
+
+Sibling lists of at least :data:`WIDE_SIBLINGS` trees go through a
+:class:`~paxml.tree.antichain.BitsetAntichain` instead of the pairwise
+:func:`antichain_insert`.  Pruning a wide node leaves its index behind on
+the node (:func:`sibling_index`), where the graft path
+(:func:`paxml.system.invocation.graft_under`) keeps it exact and inserts
+through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
 from . import store as _store
+from .antichain import BitsetAntichain, SiblingIndex
 from .node import Node
 from .store import subtree_bits
 from .subsumption import is_subsumed
 
+# Sibling lists at least this long are pruned, checked and grafted into
+# through a bitset antichain; shorter ones through the linear
+# ``antichain_insert``, which is faster below it (see its inlined memo
+# check).
+WIDE_SIBLINGS = 32
 
-def antichain_insert(keep: List[Node], candidate: Node) -> bool:
+
+def antichain_insert(keep: List[Node], candidate: Node,
+                     evicted: Optional[List[Node]] = None) -> bool:
     """Insert ``candidate`` into the antichain ``keep``; True iff inserted.
 
     ``keep`` is maintained as a set of pairwise-incomparable trees.  The
     candidate is dropped when subsumed by (or equivalent to) a kept tree;
-    otherwise every kept tree the candidate subsumes is evicted.  Keeping the
+    otherwise every kept tree the candidate subsumes is evicted (and
+    appended to ``evicted``, when given).  Keeping the
     earlier element on equivalence makes the operation deterministic (any
     representative is correct: reduced versions are unique up to
     isomorphism).
@@ -60,7 +76,7 @@ def antichain_insert(keep: List[Node], candidate: Node) -> bool:
     # on a 2-vCPU VM.
     gen = _store._generation
     survivors: List[Node] = []
-    evicted = False
+    pruned = False
     rejects = 0
     for other in keep:
         if other._bits_version == other.version and other._bits_gen == gen:
@@ -76,26 +92,59 @@ def antichain_insert(keep: List[Node], candidate: Node) -> bool:
             rejects += 1
         if union == cbits:  # bits(other) ⊆ bits(candidate)
             if is_subsumed(other, candidate):
-                evicted = True
+                pruned = True
+                if evicted is not None:
+                    evicted.append(other)
                 continue
         else:
             rejects += 1
         survivors.append(other)
     perf.stats.bitset_rejects += rejects
-    if evicted:
+    if pruned:
         keep[:] = survivors
     keep.append(candidate)
     return True
 
 
+def sibling_index(node: Node, version: Optional[int] = None) -> SiblingIndex:
+    """``node``'s kept sibling index, rebuilt unless it is current at
+    ``version`` (by default the node's own version).
+
+    A rebuild indexes the children as they stand, without comparing
+    them (:meth:`~paxml.tree.antichain.BitsetAntichain.from_antichain`):
+    documents are kept reduced, so the children already form an
+    antichain.  The index is current while the node's version, its child
+    count and the intern generation are the ones it was stamped with;
+    an append outside the graft path, a ``Node.copy()``, a resume or a
+    ``clear_store()`` each fail one of those checks.
+    """
+    index = node._sibs
+    if index is None or not index.current(
+            node, node.version if version is None else version):
+        index = node._sibs = SiblingIndex.from_antichain(node.children)
+        index.stamp(node)
+    return index
+
+
 def _prune_children(node: Node) -> bool:
-    """Remove children subsumed by a sibling; True iff anything changed."""
+    """Remove children subsumed by a sibling; True iff anything changed.
+
+    A wide node keeps the index it was pruned through.
+    """
     children = node.children
     if len(children) < 2:
         return False
-    keep: List[Node] = []
-    for child in children:
-        antichain_insert(keep, child)
+    if len(children) >= WIDE_SIBLINGS:
+        index = SiblingIndex()
+        for child in children:
+            index.insert(child)
+        keep = index.items()
+        index.stamp(node)
+        node._sibs = index
+    else:
+        keep = []
+        for child in children:
+            antichain_insert(keep, child)
     if len(keep) != len(children) or any(a is not b for a, b in zip(keep, children)):
         node.children = keep
         return True
@@ -134,20 +183,27 @@ def reduced_copy(root: Node) -> Node:
 def is_reduced(root: Node) -> bool:
     """True iff no sibling subtree is subsumed by another anywhere.
 
-    Reuses :func:`antichain_insert` so each unordered sibling pair is
-    examined once with early exit, instead of the naive ``i != j`` double
-    loop over ordered pairs: a dropped candidate is subsumed by a kept
-    sibling, an eviction means a kept sibling is subsumed by the candidate —
-    either way the node is not reduced.
+    Inserts each sibling list into a fresh antichain, so each unordered
+    pair is examined at most once, with early exit: a node is reduced iff
+    every insert enters and evicts nothing (a dropped candidate is
+    subsumed by a kept sibling, an eviction means a kept sibling is
+    subsumed by the candidate).  Wide lists use a
+    :class:`~paxml.tree.antichain.BitsetAntichain`, never a node's kept
+    index: this is a check, so it trusts no memo of the tree.
     """
     for node in root.iter_nodes():
         children = node.children
         if len(children) < 2:
             continue
-        keep: List[Node] = []
-        for child in children:
-            before = len(keep)
-            if not antichain_insert(keep, child) or len(keep) != before + 1:
+        if len(children) >= WIDE_SIBLINGS:
+            index = BitsetAntichain()
+            if not all(index.insert(child) and len(index) == n + 1
+                       for n, child in enumerate(children)):
+                return False
+        else:
+            keep: List[Node] = []
+            if not all(antichain_insert(keep, child) and len(keep) == n + 1
+                       for n, child in enumerate(children)):
                 return False
     return True
 
@@ -206,6 +262,16 @@ def canonical_key(root: Node) -> CanonicalKey:
             reps.setdefault(canonical_key(child), child)
         if len(reps) == 1:
             key = (root.marking, frozenset(reps))
+        elif len(reps) >= WIDE_SIBLINGS:
+            # No two representatives are equivalent, so an antichain of
+            # them keeps exactly the maximal ones.
+            index = BitsetAntichain()
+            for child in reps.values():
+                index.insert(child)
+            kept = {id(child) for child in index}
+            key = (root.marking, frozenset(
+                child_key for child_key, child in reps.items()
+                if id(child) in kept))
         else:
             nodes = list(reps.items())
             maximal = [

@@ -110,6 +110,28 @@ class TestSnapshotOverGraphs:
         result = snapshot_over_graphs(representation, query)
         assert len(result) == 1
 
+    def test_stages_no_provenance(self, example_3_2):
+        """Graph answers are bound to graph vertices and never grafted, so
+        evaluating over graphs with the bus on stages no derivation (a
+        staged one could later be claimed by an injected tree with the
+        same key); the document evaluator does stage its answers."""
+        from paxml.obs import bus as obs_bus
+        from paxml.obs import provenance
+        from paxml.query import evaluate_snapshot
+
+        representation = build_graph_representation(example_3_2)
+        query = parse_query("pair{c0{$x}, c1{$y}} :- d0/r{t{c0{$x}, c1{$y}}}")
+        provenance.clear_staged()
+        obs_bus.enable()
+        try:
+            assert len(snapshot_over_graphs(representation, query)) == 3
+            assert not provenance._STAGED
+            evaluate_snapshot(query, example_3_2.environment())
+            assert len(provenance._STAGED) == 3
+        finally:
+            obs_bus.disable()
+            provenance.clear_staged()
+
     def test_nesting_chain_counts(self):
         system = nesting_chain_system(3, diverge=True)
         representation = build_graph_representation(system)

@@ -325,3 +325,36 @@ class TestFrontierRoundtrip:
             frontier = scheduler.frontier()
             assert frontier["policy"] == policy
             assert frontier["seed"] == 5
+
+
+# ----------------------------------------------------------------------
+# calls pruned by reduction leave the frontier
+# ----------------------------------------------------------------------
+
+
+def _pruned_call_system() -> AXMLSystem:
+    """``H`` grows the second ``c`` by ``k``; the first ``c`` is then
+    subsumed and pruned, with the ``!F`` inside it.  ``F`` never answers."""
+    return AXMLSystem.build(
+        documents={"d": "r{c{k, !F}, c{!F, !H}}", "e": "src"},
+        services={"F": "x :- e/src{y}", "H": "k :- e/src"})
+
+
+@pytest.mark.parametrize("engine", ["sequential", "async"])
+def test_pruned_tried_calls_are_dropped(engine):
+    from paxml.runtime import AsyncRuntime
+    from paxml.system import RewritingEngine
+
+    system = _pruned_call_system()
+    if engine == "sequential":
+        runner = RewritingEngine(system)
+    else:
+        runner = AsyncRuntime(system)
+    assert runner.run().status.value == "terminated"
+    root = system.documents["d"].root
+    assert len(root.children) == 1
+    scheduler = runner.kernel.scheduler
+    assert scheduler.live_count("F") == 1
+    assert scheduler.tried_count() == 2
+    live = {node.uid for node in root.function_nodes()}
+    assert {entry[0][1].uid for entry in scheduler._tried.values()} == live

@@ -356,3 +356,28 @@ class TestPeerTransport:
 
         result = asyncio.run(driver())
         assert result.status is RuntimeStatus.TERMINATED
+
+
+def test_timed_drops_are_counted_once_each():
+    """A dropped response surfaces through ``call_timeout`` (the
+    ``asyncio.wait_for`` branch).  With a single call site nothing else
+    evaluates on the loop while the deadline runs, so every timeout is
+    an injected drop and each is counted exactly once."""
+    def build():
+        return AXMLSystem.build(documents={"d": "r{!F}",
+                                           "src": "db{item{1}, item{2}}"},
+                                services={"F": "v{$x} :- src/db{item{$x}}"})
+
+    reference = build()
+    materialize(reference)
+    subject = build()
+    injector = FaultInjector(seed=5, drop_rate=1.0, max_attempt=2)
+    result = materialize_async(subject, injector=injector, concurrency=1,
+                               call_timeout=0.02, max_attempts=4,
+                               backoff_base=0.001, breaker_threshold=1000)
+    assert result.status is RuntimeStatus.TERMINATED
+    assert reference.equivalent_to(subject)
+    metrics = result.metrics
+    assert injector.injected_failures > 0
+    assert metrics.attempts_failed == injector.injected_failures
+    assert metrics.timeouts == metrics.attempts_failed == metrics.retries

@@ -44,7 +44,7 @@ from paxml.tree import (
     val,
 )
 from paxml.tree import store as tree_store
-from paxml.tree.antichain import BitsetAntichain
+from paxml.tree.antichain import BitsetAntichain, SiblingIndex
 from paxml.tree.node import Label, Node
 from paxml.tree.reduction import antichain_insert, reduce_forest, reduce_in_place
 from paxml.workloads import (
@@ -142,11 +142,37 @@ def assert_census_consistent(root: Node) -> None:
     assert total >= sum(fresh.values())
 
 
+def _postings_by_member(index) -> dict:
+    """bit → ids of the members posted under it (slot numbers dropped:
+    evictions leave holes a fresh index does not have)."""
+    return {bit: {id(index._trees[slot]) for slot in slots}
+            for bit, slots in index._postings.items() if slots}
+
+
+def assert_sibling_index_consistent(node: Node) -> None:
+    """A current kept sibling index holds exactly ``node``'s children, in
+    order, with the postings a freshly built index has; every member is
+    anchored at one of its own bits."""
+    index = node._sibs
+    if index is None or not index.current(node, node.version):
+        return
+    fresh = SiblingIndex.from_antichain(node.children)
+    assert [id(tree) for tree in index] == [id(c) for c in node.children]
+    assert _postings_by_member(index) == _postings_by_member(fresh)
+    for slot, tree in enumerate(index._trees):
+        if tree is not None:
+            assert index._bits[slot] == oracle_bits(tree)
+            assert index._bits[slot] >> index._anchor[slot] & 1
+            assert index._slot[id(tree)] == slot
+
+
 def assert_memos_consistent(root: Node) -> None:
-    """Bits, child buckets, probes and the census under ``root``."""
+    """Bits, child buckets, probes, sibling indexes and the census under
+    ``root``."""
     assert_store_consistent(root)
     for node in root.iter_nodes():
         assert_index_consistent(node)
+        assert_sibling_index_consistent(node)
     assert_census_consistent(root)
 
 
@@ -231,8 +257,9 @@ def test_untracked_mutations_heal_at_read_time():
 
 
 def test_batch_graft_on_wide_parent_matches_sequential():
-    """The ≥32-sibling batch path (BitsetAntichain.from_antichain) must
-    insert/evict exactly what per-tree antichain_insert would."""
+    """Grafts onto a ≥32-sibling parent go through its kept sibling index,
+    batched or one tree at a time; either way the children must be
+    exactly what ``antichain_insert`` keeps on a plain list, in order."""
     def build():
         # 40 pairwise-incomparable siblings: distinct values.
         return label("wide", *[label("row", val(i)) for i in range(40)])
@@ -243,14 +270,18 @@ def test_batch_graft_on_wide_parent_matches_sequential():
         [label("row", val(900)), label("row", val(901))],
     )
 
-    results = {}
+    reference = list(build().children)
+    for batch in grafts:
+        for tree in batch:
+            antichain_insert(reference, tree.copy())
+    expected = [canonical_key(tree) for tree in reference]
+
     for batched in (False, True):
         tree_store.clear_store()
         root = label("doc", build())
         wide = root.children[0]
         assert_memos_consistent(root)
         for batch in grafts:
-            # One tree per call never takes the batch path.
             calls = [batch] if batched else [[t] for t in batch]
             inserted = []
             for trees in calls:
@@ -259,9 +290,9 @@ def test_batch_graft_on_wide_parent_matches_sequential():
             assert len(inserted) >= 1
         for child in wide.children:
             assert child.parent is wide
+        assert wide._sibs.current(wide, wide.version)
         assert_memos_consistent(root)
-        results[batched] = canonical_key(root)
-    assert results[True] == results[False]
+        assert [canonical_key(child) for child in wide.children] == expected
 
 
 # ----------------------------------------------------------------------
