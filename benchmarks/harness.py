@@ -10,11 +10,7 @@ EXPERIMENTS.md) and prints its rows.  Run with ``-s`` to see them::
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
-import time
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence
 
 _WIDTH = 14
 
@@ -27,47 +23,3 @@ def print_table(title: str, header: Sequence[str],
     print("-" * len(line))
     for row in rows:
         print(" | ".join(str(cell).ljust(_WIDTH) for cell in row))
-
-
-# ----------------------------------------------------------------------
-# machine-readable results (BENCH_pr1.json and successors)
-# ----------------------------------------------------------------------
-
-
-def timed(fn: Callable[[], object]) -> Tuple[float, object]:
-    """Run ``fn`` once and return ``(wall_seconds, result)``."""
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def timed_cpu(fn: Callable[[], object]) -> Tuple[float, object]:
-    """Run ``fn`` once and return ``(cpu_seconds, result)``.
-
-    Process CPU time, for single-threaded pure-compute workloads whose
-    gate is a ratio: unlike wall-clock it does not charge the benchmark
-    for time the container spent scheduled out.
-    """
-    start = time.process_time()
-    result = fn()
-    return time.process_time() - start, result
-
-
-def write_bench_json(path: str, scenarios: dict) -> None:
-    """Write one benchmark report as pretty JSON.
-
-    ``scenarios`` maps scenario name to a dict of plain JSON values
-    (wall-times, invocation counts, cache hit rates, pass/fail checks).
-    A small machine header is added so runs remain comparable.
-    """
-    payload = {
-        "machine": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "scenarios": scenarios,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")

@@ -14,8 +14,7 @@ stream this package derives
   (:mod:`paxml.obs.exporters`, surfaced as ``paxml trace``).
 
 Instrumentation is off by default and costs one module-attribute check
-per site when off (see ``benchmarks/bench_pr3.py`` for the measured
-budget).  Quickstart::
+per site when off (see :mod:`paxml.obs.bus`).  Quickstart::
 
     from paxml import obs
 

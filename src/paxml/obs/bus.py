@@ -8,10 +8,11 @@ Instrumented call sites across the engines are written as::
         obs_bus.emit(events.GRAFT_APPLIED, document=..., service=..., ...)
 
 ``ACTIVE`` is a plain module-level bool, so a disabled bus costs one
-attribute load and a branch per instrumentation point — the overhead
-``benchmarks/bench_pr3.py`` budgets at ≤ 5 % of scenario wall-clock and
-measures at well under 1 %.  Payload keyword arguments are only built
-*inside* the guard, so no allocation happens when tracing is off.
+attribute load and a branch per instrumentation point (about 5 ns a
+guard; historical, ``BENCH_pr3.json``).  Payload keyword arguments are
+only built *inside* the guard, so no allocation happens when tracing is
+off (``tests/test_obs_trace.py`` checks this under ``tracemalloc``).
+perfbench ``--trace 1`` reports what tracing costs end to end.
 
 Dispatch is synchronous and in-order (events carry a global sequence
 number); a subscriber that raises is counted in ``dropped`` and in

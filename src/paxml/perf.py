@@ -2,21 +2,24 @@
 
 The incremental materialization machinery (versioned nodes, the persistent
 subsumption cache, cached canonical keys, delta-driven snapshot evaluation)
-is soundness-preserving but makes benchmarking against the from-scratch
-baseline awkward without a switchboard.  This module is that switchboard:
+is soundness-preserving; a few of its paths keep a switch so that the
+alternative can still be measured or chosen.  This module is that
+switchboard:
 
-* :data:`flags` — six process-wide enable bits, one per subsystem that
-  keeps a measured alternative path.  Turning a bit off restores the
-  reference behaviour of that subsystem (full recomputation, an eager
-  run, no graft log, no tracing).  Query evaluation has no bit: it
-  always runs the compiled plan of :mod:`paxml.query.plan`, and the
-  naive matcher of :mod:`paxml.query.matching` is a test oracle only.
-  Subsumption filtering has none either: the packed subtree bitsets of
-  :mod:`paxml.tree.store` are its only path.  Writing an unknown flag
-  name raises ``AttributeError``, so a stale script cannot silently
+* :data:`flags` — four process-wide enable bits, one per subsystem that
+  keeps a measured or operator-chosen alternative path.  Turning a bit
+  off restores the reference behaviour of that subsystem (no
+  subsumption memo, no graft log, no tracing, an eager run).  Query
+  evaluation has no bit: it always runs the compiled plan of
+  :mod:`paxml.query.plan` and, per call site, the delta evaluator of
+  :mod:`paxml.query.incremental`; the naive matcher of
+  :mod:`paxml.query.matching` is a test oracle only.  Canonical keys are
+  always memoised per node, and subsumption filtering always runs on the
+  packed subtree bitsets of :mod:`paxml.tree.store`.  Writing an unknown
+  flag name raises ``AttributeError``, so a stale script cannot silently
   measure the default path.
 * :data:`stats` — cheap monotone counters (cache hits/misses, delta vs full
-  evaluations) surfaced by the benchmark harness as hit rates.
+  evaluations), read by perfbench and the metrics registry.
 * :func:`clear_caches` — drops every process-level cache.  Tests call this
   to check that cached and uncached computations agree.
 
@@ -50,8 +53,6 @@ class Flags:
     """Enable bits for the incremental subsystems (all on by default)."""
 
     subsumption_cache: bool = True   # persistent ((uid, ver), (uid, ver)) memo
-    canonical_key_cache: bool = True  # per-node (version, key) memo
-    incremental_matching: bool = True  # delta-driven snapshot evaluation
     # Graft-log retention (paxml.kernel): with the flag off the kernel
     # appends no GraftRecords (PR 4 behaviour, for memory-constrained
     # runs); checkpoints then carry only the fresh document snapshot and
@@ -200,22 +201,6 @@ class Stats:
     def snapshot(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def hit_rates(self) -> Dict[str, float]:
-        return {
-            "subsumption_cache": self._rate(self.subsumption_hits,
-                                            self.subsumption_misses),
-            "canonical_key_cache": self._rate(self.canonical_key_hits,
-                                              self.canonical_key_misses),
-            "input_tree_cache": self._rate(self.input_tree_hits,
-                                           self.input_tree_misses),
-            "child_index": self._rate(self.index_hits, self.index_misses),
-        }
-
 
 flags = Flags()
 flags.set_all(True)  # apply any PAXML_DISABLE_FLAGS to the defaults
@@ -234,7 +219,3 @@ def clear_caches() -> None:
     """Drop every registered process-level cache (stats are kept)."""
     for clearer in _cache_clearers:
         clearer()
-
-
-def incremental_enabled() -> bool:
-    return flags.incremental_matching

@@ -86,10 +86,9 @@ class IncrementalQueryEvaluator:
         """Answers not previously returned for ``site`` (all of them if new).
 
         Falls back to a full snapshot evaluation — returning the complete
-        result — when incremental matching is disabled or no site identity
-        is available.
+        result — when no site identity is available.
         """
-        if site is None or not perf.flags.incremental_matching:
+        if site is None:
             perf.stats.full_evaluations += 1
             return evaluate_snapshot(self.query, environment,
                                      self.rule_index)

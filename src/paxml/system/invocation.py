@@ -201,7 +201,8 @@ def graft_under(parent_path: List[Node], trees: List[Node],
 
     A parent with at least ``WIDE_SIBLINGS`` children inserts through
     its kept sibling index, which the graft re-stamps after ``touch``;
-    a narrower one through the linear ``antichain_insert``.
+    a narrower one through the linear ``antichain_insert``, dropping any
+    index kept from a time it was wider.
     """
     parent = parent_path[-1]
     inserted: List[Node] = []
@@ -218,6 +219,7 @@ def graft_under(parent_path: List[Node], trees: List[Node],
         else:
             parent.children.extend(inserted)
     else:
+        parent._sibs = None
         for graft in trees:
             if antichain_insert(parent.children, graft, lost):
                 graft.parent = parent
@@ -288,8 +290,8 @@ def _propagate_growth(parent_path: List[Node], pre_versions: List[int],
     the path) or, indexed afresh from the children as they stand, if
     the ancestor is wide (at least ``WIDE_SIBLINGS`` children).  The
     index re-posts the grown child, evicts through its anchor lists and
-    is re-stamped.  Any other ancestor scans its children.  Pruned
-    siblings go to ``evicted``.
+    is re-stamped.  Any other ancestor scans its children and drops its
+    stale index.  Pruned siblings go to ``evicted``.
     """
     for depth in range(len(parent_path) - 1, 0, -1):
         ancestor, grown = parent_path[depth - 1], parent_path[depth]
@@ -306,6 +308,7 @@ def _propagate_growth(parent_path: List[Node], pre_versions: List[int],
                 evicted.extend(lost)
             index.stamp(ancestor)
             continue
+        ancestor._sibs = None
         survivors = []
         for child in ancestor.children:
             if child is grown or not is_subsumed(child, grown):

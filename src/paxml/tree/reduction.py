@@ -129,7 +129,8 @@ def sibling_index(node: Node, version: Optional[int] = None) -> SiblingIndex:
 def _prune_children(node: Node) -> bool:
     """Remove children subsumed by a sibling; True iff anything changed.
 
-    A wide node keeps the index it was pruned through.
+    A wide node keeps the index it was pruned through; a narrow one with
+    siblings to compare drops any index it still holds.
     """
     children = node.children
     if len(children) < 2:
@@ -142,6 +143,8 @@ def _prune_children(node: Node) -> bool:
         index.stamp(node)
         node._sibs = index
     else:
+        # An index kept from a wider past is dead memory on a narrow node.
+        node._sibs = None
         keep = []
         for child in children:
             antichain_insert(keep, child)
@@ -242,12 +245,11 @@ def canonical_key(root: Node) -> CanonicalKey:
     only the nodes on changed paths recompute — unchanged subtrees answer
     from cache.
     """
-    if perf.flags.canonical_key_cache:
-        cached = root._ckey
-        if cached is not None and root._ckey_version == root.version:
-            perf.stats.canonical_key_hits += 1
-            return cached  # type: ignore[return-value]
-        perf.stats.canonical_key_misses += 1
+    cached = root._ckey
+    if cached is not None and root._ckey_version == root.version:
+        perf.stats.canonical_key_hits += 1
+        return cached  # type: ignore[return-value]
+    perf.stats.canonical_key_misses += 1
     children = root.children
     if not children:
         key: CanonicalKey = (root.marking, frozenset())
@@ -280,9 +282,8 @@ def canonical_key(root: Node) -> CanonicalKey:
                            for _k, other in nodes)
             ]
             key = (root.marking, frozenset(maximal))
-    if perf.flags.canonical_key_cache:
-        root._ckey = key
-        root._ckey_version = root.version
+    root._ckey = key
+    root._ckey_version = root.version
     return key
 
 

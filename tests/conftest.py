@@ -8,6 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from paxml import AXMLSystem, Node, fun, label, val
+from paxml.system.invocation import (StaleCallError, call_path, evaluate_call,
+                                     graft_answers)
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +21,34 @@ def _obs_isolation():
 
     bus.reset()
     clear_staged()
+
+
+# ----------------------------------------------------------------------
+# the reference fixpoint
+# ----------------------------------------------------------------------
+
+
+def naive_fixpoint(system: AXMLSystem) -> AXMLSystem:
+    """Materialize ``system`` in place the naive way: rounds of full
+    snapshot evaluation (``evaluate_call``, never the per-site delta
+    evaluator) plus ``graft_answers`` over every live call, until a round
+    changes nothing.  No kernel, no scheduler, no delta state.
+
+    The reference ``[I]`` the engines are checked against; only for
+    systems that terminate (a round cap turns divergence into a failure).
+    """
+    for _ in range(10_000):
+        changed = False
+        for document, call in list(system.call_sites()):
+            try:
+                path = call_path(document, call)
+            except StaleCallError:
+                continue  # pruned by an earlier graft of this round
+            if graft_answers(path, evaluate_call(system, call, path[-2])):
+                changed = True
+        if not changed:
+            return system
+    raise AssertionError("no fixpoint within 10,000 rounds")
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Two families of guarantees:
 
 * whole-engine agreement — materializing with the incremental machinery
   (persistent caches + per-site delta evaluation) yields documents
-  equivalent to the seed from-scratch engine, under every scheduler;
+  equivalent to the naive snapshot fixpoint (``conftest.naive_fixpoint``),
+  under every scheduler;
 * cache coherence — the persistent ``canonical_key`` and ``is_subsumed``
   caches agree with uncached recomputation after arbitrary graft
   sequences (version stamps must invalidate exactly what changed).
@@ -30,6 +31,8 @@ from paxml.workloads import (
     tc_system,
 )
 
+from .conftest import naive_fixpoint
+
 
 @pytest.fixture(autouse=True)
 def _restore_perf_flags():
@@ -40,8 +43,7 @@ def _restore_perf_flags():
     perf.stats.reset()
 
 
-def _materialize_with(factory, incremental, scheduler="round_robin", seed=None):
-    perf.flags.set_all(incremental)
+def _materialize_with(factory, scheduler, seed):
     perf.clear_caches()
     system = factory()
     result = RewritingEngine(system, scheduler=scheduler, seed=seed).run()
@@ -58,30 +60,27 @@ def _materialize_with(factory, incremental, scheduler="round_robin", seed=None):
        st.sampled_from(["round_robin", "lifo", "random"]))
 @settings(max_examples=25, deadline=None)
 def test_incremental_engine_agrees_with_seed_engine(seed, scheduler):
-    """Incremental and from-scratch materialization reach equivalent
-    fixpoints on random acyclic systems under every scheduler."""
+    """Incremental and naive materialization reach equivalent fixpoints
+    on random acyclic systems under every scheduler."""
     factory = lambda: random_acyclic_system(3, seed=seed)
-    reference = _materialize_with(factory, incremental=False)
-    subject = _materialize_with(factory, incremental=True,
-                                scheduler=scheduler, seed=seed)
+    reference = naive_fixpoint(factory())
+    subject = _materialize_with(factory, scheduler, seed)
     assert subject.equivalent_to(reference)
 
 
 @pytest.mark.parametrize("scheduler", ["round_robin", "lifo", "random"])
 def test_incremental_engine_agrees_on_tc(scheduler):
     factory = lambda: tc_system(chain_edges(8))
-    reference = _materialize_with(factory, incremental=False)
-    subject = _materialize_with(factory, incremental=True,
-                                scheduler=scheduler, seed=11)
+    reference = naive_fixpoint(factory())
+    subject = _materialize_with(factory, scheduler, 11)
     assert subject.equivalent_to(reference)
 
 
 @pytest.mark.parametrize("scheduler", ["round_robin", "lifo", "random"])
 def test_incremental_engine_agrees_on_portal(scheduler):
     factory = lambda: portal_system(8, n_irrelevant=3, seed=2)
-    reference = _materialize_with(factory, incremental=False)
-    subject = _materialize_with(factory, incremental=True,
-                                scheduler=scheduler, seed=7)
+    reference = naive_fixpoint(factory())
+    subject = _materialize_with(factory, scheduler, 7)
     assert subject.equivalent_to(reference)
 
 

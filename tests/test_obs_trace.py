@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from paxml import perf
+from paxml import AXMLSystem, obs, perf
 from paxml.obs import bus as obs_bus
 from paxml.obs import events as obs_events
 from paxml.obs import trace as obs_trace
@@ -26,6 +26,10 @@ from paxml.obs.exporters import (prometheus_text, read_jsonl,
 from paxml.obs.flight import GLOBAL, FlightRecorder
 from paxml.obs.metrics import Registry
 from paxml.obs.slo import DEFAULT_SLOS, SLOBoard, SLOSpec
+from paxml.runtime import AsyncRuntime, LocalTransport, RuntimeConfig
+from paxml.system import RewritingEngine
+from paxml.tree.reduction import canonical_key
+from paxml.workloads import chain_edges, tc_system
 
 
 @pytest.fixture(autouse=True)
@@ -412,3 +416,57 @@ class TestConcurrentEmit:
         total = sum(len(flight.snapshot(f"t{t}"))
                     for t in range(self.N_THREADS))
         assert total == self.N_THREADS * self.N_EVENTS
+
+
+# ----------------------------------------------------------------------
+# observing a run does not change what it computes
+# ----------------------------------------------------------------------
+
+
+def _nesting_system():
+    """``f`` grafts a fresh call ``!g``: under a sampled trace the graft
+    tags it, so the async engine runs its invocation as a child span."""
+    return AXMLSystem.build(documents={"d": "a{!f}", "src": "s{1, 2}"},
+                            services={"f": "b{!g} :- ",
+                                      "g": "c{$v} :- src/s{$v}"})
+
+
+def _run(system, engine):
+    if engine == "sequential":
+        return RewritingEngine(system).run()
+    return AsyncRuntime(system, transport=LocalTransport(system),
+                        config=RuntimeConfig(concurrency=4, seed=0)).run()
+
+
+def _fixpoint(system):
+    return {name: canonical_key(doc.root)
+            for name, doc in system.documents.items()}
+
+
+@pytest.mark.parametrize("engine", ["sequential", "async"])
+@pytest.mark.parametrize("build", [lambda: tc_system(chain_edges(6)),
+                                   _nesting_system],
+                         ids=["tc", "nesting"])
+def test_observed_run_reaches_the_unobserved_fixpoint(engine, build):
+    """A run with the event bus on and its trace sampled at rate 1.0
+    ends in the same documents as an unobserved run, and records its
+    events and spans."""
+    plain = build()
+    plain_result = _run(plain, engine)
+
+    observed = build()
+    spans = []
+    obs_trace.subscribe_spans(spans.append)
+    ctx = obs_trace.admit("observed", rate=1.0)
+    assert ctx is not None
+    with obs.tracing() as recorder, obs_trace.span("run", ctx):
+        observed_result = _run(observed, engine)
+
+    assert plain_result.terminated and observed_result.terminated
+    assert _fixpoint(observed) == _fixpoint(plain)
+    if engine == "sequential":
+        assert observed_result.steps == plain_result.steps
+    assert recorder.of_kind(obs_events.GRAFT_APPLIED)
+    assert [span.name for span in spans][-1] == "run"
+    if engine == "async" and build is _nesting_system:
+        assert "invoke:!g" in {span.name for span in spans}

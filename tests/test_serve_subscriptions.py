@@ -19,7 +19,9 @@ import asyncio
 
 import pytest
 
+from paxml import perf
 from paxml.query import evaluate_snapshot, parse_query
+from paxml.query.incremental import ContinuousQueryLog
 from paxml.runtime import FaultInjector, RuntimeConfig
 from paxml.serve import TenantSession
 from paxml.tree.document import Forest
@@ -179,3 +181,48 @@ def test_late_subscriber_gets_exact_initial():
     assert Forest([parse_tree(t) for t in sub.initial]
                   ).equivalent_to(expected)
     assert sub.drain() == []
+
+
+def test_a_graft_refreshes_each_query_once_whatever_the_subscriber_count(
+        monkeypatch):
+    """The hub's cost contract: landing a graft refreshes each registered
+    query once, independent of the subscriber count, and every subscriber
+    still receives every delta.  One subscriber and a hundred on the same
+    query, fed the same grafts, must cost the same refreshes and delta
+    evaluations."""
+    refreshed = []
+    refresh = ContinuousQueryLog.refresh
+
+    def counting_refresh(log, environment):
+        refreshed.append(log)
+        return refresh(log, environment)
+
+    monkeypatch.setattr(ContinuousQueryLog, "refresh", counting_refresh)
+
+    def fan_out(n_subscribers: int):
+        session = TenantSession(f"fanout{n_subscribers}",
+                                tc_system([(0, 1)]))
+        subs = [session.subscribe("p{*T} :- d0/r{*T}")
+                for _ in range(n_subscribers)]
+
+        async def drive():
+            while session.has_work():
+                await session.run_slice(100_000)
+
+        asyncio.run(drive())
+        refreshed.clear()
+        perf.stats.reset()
+        for i in range(12):
+            session.inject(
+                "d0", [parse_tree(f"t{{c0{{{i + 10}}}, c1{{{i + 11}}}}}")])
+            asyncio.run(drive())
+            batches = [sub.drain() for sub in subs]
+            assert len(batches[0]) == 1, "the graft's delta was not streamed"
+            assert all(batch == batches[0] for batch in batches)
+        assert len({id(log) for log in refreshed}) == 1
+        return len(refreshed), perf.stats.delta_evaluations
+
+    one = fan_out(1)
+    hundred = fan_out(100)
+    assert one[0] > 0
+    assert hundred == one

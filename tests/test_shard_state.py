@@ -113,7 +113,8 @@ class TestFlagsSnapshotApply:
         with pytest.raises(AttributeError, match="subsumption_cach"):
             perf.flags.subsumption_cach = False
         assert not hasattr(perf.flags, "subsumption_cach")
-        assert len(perf.flags.snapshot()) == 6
+        assert set(perf.flags.snapshot()) == {
+            "subsumption_cache", "graft_log", "tracing", "lazy_scheduling"}
 
     def test_env_disabled_flags_stay_off(self, monkeypatch):
         monkeypatch.setattr(perf, "_ENV_DISABLED",
@@ -128,11 +129,11 @@ class TestBootstrapInProcess:
         obs_bus.enable()
         effective = bootstrap_worker(1, 2,
                                      {"subsumption_cache": False,
-                                      "canonical_key_cache": False})
+                                      "graft_log": False})
         assert perf.stats.subsumption_hits == 0
         assert not obs_bus.ACTIVE
         assert effective["subsumption_cache"] is False
-        assert effective["canonical_key_cache"] is False
+        assert effective["graft_log"] is False
         assert stamp_clock_config() == (1, 2)
 
     def test_obs_active_reenables_bus(self):
@@ -161,12 +162,12 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
         pytest.skip("no fork on this platform")
     # Pollute the parent: flags flipped, stats nonzero, bus enabled —
     # everything a forked child would wrongly inherit.
-    perf.flags.canonical_key_cache = False
+    perf.flags.graft_log = False
     perf.flags.subsumption_cache = False
     perf.stats.subsumption_hits = 999
     obs_bus.enable()
-    explicit = dict(perf.flags.snapshot(), canonical_key_cache=True,
-                    subsumption_cache=True, incremental_matching=False)
+    explicit = dict(perf.flags.snapshot(), graft_log=True,
+                    subsumption_cache=True, tracing=False)
 
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe()
@@ -176,9 +177,9 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
     report = parent_conn.recv()
     process.join(timeout=30)
 
-    assert report["flags"]["canonical_key_cache"] is True
+    assert report["flags"]["graft_log"] is True
     assert report["flags"]["subsumption_cache"] is True
-    assert report["flags"]["incremental_matching"] is False
+    assert report["flags"]["tracing"] is False
     assert report["subsumption_hits"] == 0
     assert report["bus_active"] is False
     assert report["stamp"] % 4 == 1
@@ -200,7 +201,7 @@ def test_spawned_worker_applies_explicit_config_over_defaults():
     # A fresh interpreter (what the spawn start method gives a worker)
     # boots with compiled-in defaults; the explicit snapshot must win.
     explicit = dict(perf.flags.snapshot(), subsumption_cache=False,
-                    incremental_matching=False)
+                    tracing=False)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
@@ -208,5 +209,5 @@ def test_spawned_worker_applies_explicit_config_over_defaults():
         capture_output=True, text=True, env=env, timeout=60, check=True)
     report = json.loads(out.stdout)
     assert report["flags"]["subsumption_cache"] is False
-    assert report["flags"]["incremental_matching"] is False
+    assert report["flags"]["tracing"] is False
     assert report["stamp"] % 4 == 3

@@ -113,7 +113,6 @@ def test_wide_canonical_key_and_is_reduced_match_pairwise(seed):
     width = rng.randint(WIDE_SIBLINGS, 80)
     tree = label("f", *[random_row(rng) for _ in range(width)],
                  label("g", *[random_row(rng, 40) for _ in range(40)]))
-    perf.flags.canonical_key_cache = False
     assert canonical_key(tree) == pairwise_key(tree)
     assert is_reduced(tree) == pairwise_reduced(tree)
     reduced = tree.copy()
@@ -311,3 +310,32 @@ def test_checkpoint_resume_with_wide_promos(tmp_path):
     widths = [len(node.children) for doc in resumed.system.documents.values()
               for node in doc.root.iter_nodes()]
     assert max(widths) >= WIDE_SIBLINGS
+
+
+@pytest.mark.parametrize("narrow_path", ["graft", "reduce", "sweep"])
+def test_a_node_narrowed_by_evictions_drops_its_index(narrow_path):
+    """A wide node that evictions take below ``WIDE_SIBLINGS`` keeps a
+    current index until its next narrow-path operation, which drops it:
+    a linear graft onto it, a linear reduction of it, or an ancestor
+    sweep that scans it."""
+    wide = label("wide", *[label("row", label("k", val(i)))
+                           for i in range(40)])
+    root = label("doc", wide)
+    reduce_in_place(root)
+    # One row holding keys 0..31 subsumes 32 rows: 40 - 32 + 1 remain.
+    big = label("row", *[label("k", val(i)) for i in range(32)])
+    assert graft_under([root, wide], [big]) == [big]
+    assert len(wide.children) == 9 < WIDE_SIBLINGS
+    assert wide._sibs.current(wide, wide.version)
+    if narrow_path == "graft":
+        graft_under([root, wide], [label("row", label("k", val(99)))])
+    elif narrow_path == "reduce":
+        reduce_in_place(root)
+    else:
+        # An append outside the graft path stales the index; a graft
+        # below one of the rows then sweeps the node by scanning it.
+        wide.add_child(label("row", label("k", val(98))))
+        graft_under([root, wide, big], [label("t", val(0))])
+    assert wide._sibs is None
+    assert is_reduced(root)
+    assert_memos_consistent(root)
